@@ -7,7 +7,11 @@
 // MilBack cell.
 #include "bench_common.hpp"
 
-#include "milback/core/network.hpp"
+#include <string>
+#include <vector>
+
+#include "milback/cell/sdm.hpp"
+#include "milback/core/round_types.hpp"
 
 using namespace milback;
 
@@ -25,19 +29,23 @@ int main(int argc, char** argv) {
     // size, and placement/round draws depend only on (seed, n_nodes).
     // milback-analyze: no-rng(the environment is intentionally identical across population sizes; placement/round streams below key on n_nodes)
     auto env_rng = Rng::stream(seed, std::uint64_t{1});
-    core::MilBackNetwork net(channel::BackscatterChannel::make_default(
-                                 channel::Environment::indoor_office(env_rng)),
-                             core::NetworkConfig{});
+    const core::NetworkConfig net_cfg{};
+    const core::MilBackLink link(channel::BackscatterChannel::make_default(
+                                     channel::Environment::indoor_office(env_rng)),
+                                 net_cfg.link);
     auto place = Rng::stream(seed, std::uint64_t{1000}, n_nodes);
+    std::vector<std::string> ids;
+    std::vector<channel::NodePose> poses;
     for (std::size_t i = 0; i < n_nodes; ++i) {
-      net.add_node("n" + std::to_string(i),
-                   {place.uniform(1.5, 6.0), place.uniform(-35.0, 35.0),
-                    place.uniform(-25.0, 25.0)});
+      ids.push_back("n" + std::to_string(i));
+      poses.push_back({place.uniform(1.5, 6.0), place.uniform(-35.0, 35.0),
+                       place.uniform(-25.0, 25.0)});
     }
 
     auto rng = Rng::stream(seed, std::uint64_t{2000}, n_nodes);
-    const auto ul = net.run_uplink_round(400, rng);
-    const auto dl = net.run_downlink_round(400, rng);
+    const double sep = net_cfg.sdm_min_separation_deg;
+    const auto ul = cell::run_uplink_round(link, poses, ids, sep, 400, rng);
+    const auto dl = cell::run_downlink_round(link, poses, ids, sep, 400, rng);
 
     double worst = 1e18, snr_sum = 0.0;
     for (const auto& nr : ul.nodes) {

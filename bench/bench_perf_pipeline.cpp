@@ -3,19 +3,11 @@
 // A Field-2 burst is 5 x 18 us = 90 us of air time; the full localization
 // pipeline must process it in well under a packet period to keep up.
 //
-// The BM_Kernel_* pairs compare each planned kernel against an inline copy
-// of the pre-plan implementation (per-call twiddle recomputation, per-sample
-// trig, per-call std::normal_distribution). The legacy paths no longer exist
-// in src/, so the reference lives here to keep the speedup measurable.
-//
 // `bench_perf_pipeline --json [path]` additionally writes the google-benchmark
 // JSON report (default BENCH_perf_pipeline.json) for scripts/bench_compare.py.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <complex>
-#include <numbers>
-#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,9 +21,6 @@
 #include "milback/dsp/fft.hpp"
 #include "milback/mesh/neighbor_table.hpp"
 #include "milback/mesh/routing.hpp"
-#include "milback/dsp/fft_plan.hpp"
-#include "milback/dsp/oscillator.hpp"
-#include "milback/dsp/window.hpp"
 #include "milback/obs/registry.hpp"
 #include "milback/obs/span.hpp"
 #include "milback/radar/background_subtraction.hpp"
@@ -427,138 +416,6 @@ void BM_Obs_CounterHist_Enabled(benchmark::State& state) {
   obs::set_enabled(false, false);
 }
 BENCHMARK(BM_Obs_CounterHist_Enabled);
-
-// ---------------------------------------------------------------------------
-// Per-kernel before/after pairs.
-// ---------------------------------------------------------------------------
-
-// Longest chirp at Field-1 rates: 45 us at 50 MHz.
-constexpr std::size_t kChirpSamples = 2250;
-
-// Pre-plan FFT: recompute twiddles with a trig call per stage and a complex
-// multiply chain per butterfly group (the deleted dsp::fft internals).
-void naive_fft_inplace(std::vector<dsp::cplx>& a) {
-  const std::size_t n = a.size();
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j |= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = -2.0 * std::numbers::pi / double(len);
-    const dsp::cplx wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      dsp::cplx w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const dsp::cplx u = a[i + k];
-        const dsp::cplx v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
-std::vector<dsp::cplx> random_complex(std::size_t n, unsigned seed) {
-  Rng rng(seed);
-  std::vector<dsp::cplx> x(n);
-  for (auto& v : x) v = rng.complex_gaussian(1.0);
-  return x;
-}
-
-void BM_Kernel_Fft1024_Naive(benchmark::State& state) {
-  const auto x = random_complex(1024, 21);
-  std::vector<dsp::cplx> scratch(x.size());
-  for (auto _ : state) {
-    scratch = x;
-    naive_fft_inplace(scratch);
-    benchmark::DoNotOptimize(scratch.data());
-  }
-}
-BENCHMARK(BM_Kernel_Fft1024_Naive);
-
-void BM_Kernel_Fft1024_Planned(benchmark::State& state) {
-  const auto x = random_complex(1024, 21);
-  const auto& plan = dsp::fft_plan(x.size());
-  std::vector<dsp::cplx> scratch(x.size());
-  for (auto _ : state) {
-    scratch = x;
-    plan.forward(scratch.data());
-    benchmark::DoNotOptimize(scratch.data());
-  }
-}
-BENCHMARK(BM_Kernel_Fft1024_Planned);
-
-void BM_Kernel_Phasor_Trig(benchmark::State& state) {
-  const double phi0 = 0.37;
-  const double step = 2.0 * std::numbers::pi * 1.2e6 / 50e6;
-  std::vector<dsp::cplx> y(kChirpSamples);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const double ph = phi0 + step * double(i);
-      y[i] = dsp::cplx{std::cos(ph), std::sin(ph)};
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Kernel_Phasor_Trig);
-
-void BM_Kernel_Phasor_Rotated(benchmark::State& state) {
-  const double phi0 = 0.37;
-  const double step = 2.0 * std::numbers::pi * 1.2e6 / 50e6;
-  std::vector<dsp::cplx> y(kChirpSamples);
-  for (auto _ : state) {
-    dsp::PhasorOscillator osc(phi0, step);
-    for (auto& v : y) v = osc.next();
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Kernel_Phasor_Rotated);
-
-void BM_Kernel_Noise_PerCall(benchmark::State& state) {
-  // Pre-plan noise path: a fresh std::normal_distribution per call.
-  std::mt19937_64 engine(99);
-  std::vector<dsp::cplx> y(kChirpSamples);
-  const double sigma = std::sqrt(1e-12 / 2.0);
-  for (auto _ : state) {
-    for (auto& v : y) {
-      std::normal_distribution<double> dist(0.0, sigma);
-      v = {dist(engine), dist(engine)};
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Kernel_Noise_PerCall);
-
-void BM_Kernel_Noise_Bulk(benchmark::State& state) {
-  Rng rng(99);
-  std::vector<dsp::cplx> y(kChirpSamples);
-  for (auto _ : state) {
-    rng.fill_complex_gaussian(y.data(), y.size(), 1e-12);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Kernel_Noise_Bulk);
-
-void BM_Kernel_Window900_Recompute(benchmark::State& state) {
-  for (auto _ : state) {
-    auto w = dsp::make_window(dsp::WindowType::kHann, 900);
-    const double cg = dsp::coherent_gain(w);
-    benchmark::DoNotOptimize(w.data());
-    benchmark::DoNotOptimize(cg);
-  }
-}
-BENCHMARK(BM_Kernel_Window900_Recompute);
-
-void BM_Kernel_Window900_Cached(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto& w = dsp::cached_window(dsp::WindowType::kHann, 900);
-    benchmark::DoNotOptimize(&w);
-  }
-}
-BENCHMARK(BM_Kernel_Window900_Cached);
 
 }  // namespace
 

@@ -22,9 +22,10 @@
 // identical on every run. out/metrics.jsonl carries per-tag latency/SNR
 // histograms (p50/p95) and event counts for the same shift.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "milback/cell/cell_engine.hpp"
-#include "milback/core/network.hpp"
 #include "milback/obs/exporters.hpp"
 #include "milback/util/table.hpp"
 
@@ -34,55 +35,56 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
   Rng master(seed);
 
+  const core::NetworkConfig net_cfg{};
   auto env_rng = master.fork(1);
-  core::MilBackNetwork net(channel::BackscatterChannel::make_default(
-                               channel::Environment::indoor_office(env_rng)),
-                           core::NetworkConfig{});
+  const core::MilBackLink link(channel::BackscatterChannel::make_default(
+                                   channel::Environment::indoor_office(env_rng)),
+                               net_cfg.link);
 
   // Six pallet tags spread across the aisle.
-  net.add_node("pallet-A1", {2.0, -28.0, 8.0});
-  net.add_node("pallet-A2", {3.5, -24.0, -12.0});
-  net.add_node("pallet-B1", {2.5, -2.0, 15.0});
-  net.add_node("pallet-B2", {4.5, 3.0, -18.0});
-  net.add_node("pallet-C1", {3.0, 25.0, 10.0});
-  net.add_node("pallet-C2", {5.0, 30.0, -8.0});
+  const std::vector<std::string> ids{"pallet-A1", "pallet-A2", "pallet-B1",
+                                     "pallet-B2", "pallet-C1", "pallet-C2"};
+  const std::vector<channel::NodePose> poses{{2.0, -28.0, 8.0}, {3.5, -24.0, -12.0},
+                                             {2.5, -2.0, 15.0}, {4.5, 3.0, -18.0},
+                                             {3.0, 25.0, 10.0}, {5.0, 30.0, -8.0}};
 
-  // --- Discovery sweep: localize + orientation for every tag.
-  std::cout << "Discovery sweep (" << net.nodes().size() << " tags):\n";
+  // --- Discovery sweep: localize + orientation for every tag, one at a time
+  // (the others keep their ports absorptive and are effectively invisible).
+  std::cout << "Discovery sweep (" << ids.size() << " tags):\n";
   auto rng = master.fork(2);
-  const auto found = net.discover(rng);
   Table d({"tag", "true (m,deg)", "est range (m)", "est bearing (deg)",
            "est orient (deg)", "det SNR (dB)"});
   int discovered = 0;
-  for (std::size_t i = 0; i < found.size(); ++i) {
-    const auto& truth = net.nodes()[i].pose;
-    const auto& r = found[i];
-    if (r.localization.detected) ++discovered;
-    d.add_row({r.id,
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto& truth = poses[i];
+    const auto loc = link.localize(truth, rng);
+    const auto orient = link.sense_orientation_at_ap(truth, rng);
+    if (loc.detected) ++discovered;
+    d.add_row({ids[i],
                Table::num(truth.distance_m, 1) + ", " + Table::num(truth.azimuth_deg, 0),
-               r.localization.detected ? Table::num(r.localization.range_m, 2) : "-",
-               r.localization.detected ? Table::num(r.localization.angle_deg, 1) : "-",
-               r.orientation.valid ? Table::num(r.orientation.orientation_deg, 1) : "-",
-               r.localization.detected ? Table::num(r.localization.detection_snr_db, 1)
-                                       : "-"});
+               loc.detected ? Table::num(loc.range_m, 2) : "-",
+               loc.detected ? Table::num(loc.angle_deg, 1) : "-",
+               orient.valid ? Table::num(orient.orientation_deg, 1) : "-",
+               loc.detected ? Table::num(loc.detection_snr_db, 1) : "-"});
   }
   d.print(std::cout);
-  std::cout << "  discovered " << discovered << "/" << net.nodes().size() << " tags\n\n";
+  std::cout << "  discovered " << discovered << "/" << ids.size() << " tags\n\n";
 
   // --- SDM schedule.
-  const auto slots = net.sdm_slots();
+  const auto slots = cell::sdm_partition(poses, net_cfg.sdm_min_separation_deg);
   std::cout << "SDM schedule (min separation "
             << Table::num(23.0, 0) << " deg -> " << slots.size() << " slots):\n";
   for (std::size_t s = 0; s < slots.size(); ++s) {
     std::cout << "  slot " << s << ":";
-    for (const auto i : slots[s]) std::cout << " " << net.nodes()[i].id;
+    for (const auto i : slots[s]) std::cout << " " << ids[i];
     std::cout << "\n";
   }
 
   // --- Inventory rounds: every tag uplinks its payload.
   std::cout << "\nInventory round (800 bits/tag uplink):\n";
   auto round_rng = master.fork(3);
-  const auto round = net.run_uplink_round(800, round_rng);
+  const auto round = cell::run_uplink_round(
+      link, poses, ids, net_cfg.sdm_min_separation_deg, 800, round_rng);
   Table u({"tag", "slot", "BER", "budget SNR (dB)", "eff. SNR w/ SDM (dB)",
            "goodput (Mbps)"});
   for (const auto& n : round.nodes) {
@@ -101,12 +103,9 @@ int main(int argc, char** argv) {
   cell::CellEngine shift(channel::BackscatterChannel::make_default(
                              channel::Environment::indoor_office(shift_env)),
                          cell::CellConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> tags{
-      {"pallet-A1", {2.0, -28.0, 8.0}},  {"pallet-A2", {3.5, -24.0, -12.0}},
-      {"pallet-B1", {2.5, -2.0, 15.0}},  {"pallet-B2", {4.5, 3.0, -18.0}},
-      {"pallet-C1", {3.0, 25.0, 10.0}},  {"pallet-C2", {5.0, 30.0, -8.0}}};
-  for (const auto& [id, pose] : tags) {
-    shift.add_node(id, {.pose = pose, .arrival_rate_bps = 200e3, .burstiness = 0.5});
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    shift.add_node(ids[i],
+                   {.pose = poses[i], .arrival_rate_bps = 200e3, .burstiness = 0.5});
   }
   // Mid-shift churn: A2 ships out, fresh stock lands on dock D1, B2 is
   // relocated one rack over, and a forklift blocks the aisle for 100 ms.
@@ -138,5 +137,5 @@ int main(int argc, char** argv) {
   // With MILBACK_METRICS_DIR / MILBACK_TRACE_DIR set, dump the shift's
   // telemetry (metrics.jsonl / metrics.prom / Perfetto trace.json).
   obs::write_env_exports();
-  return discovered == int(net.nodes().size()) ? 0 : 1;
+  return discovered == int(ids.size()) ? 0 : 1;
 }

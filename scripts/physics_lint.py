@@ -41,6 +41,11 @@ Rules:
       bounded-TTL route floods, hop iteration) belongs to the mesh layer,
       where link budgets come from the shared PathSet and route selection
       is deterministic; a private flood loop forks the routing model.
+  R12 layering: nothing under src/milback/core/ includes milback/cell/ or
+      milback/mesh/ -- milback_core links only milback_ap and milback_node,
+      and milback_cell links core and mesh on top of it; an include from
+      core into either layer needs a link edge back up, the dependency
+      cycle that once forced the cell sources into milback_core.
 
 Exit status is non-zero when any violation is found.
 """
@@ -122,6 +127,10 @@ MESH_LOOP = re.compile(
 )
 MESH_LOOP_ALLOWED_PREFIX = "src/milback/mesh/"
 
+# R12: an upward include from core into the layers built on top of it.
+UPWARD_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]milback/(?:cell|mesh)/')
+UPWARD_INCLUDE_SCOPE = "src/milback/core/"
+
 COMMENT_LINE = re.compile(r"^\s*(?://|\*|/\*)")
 
 
@@ -165,6 +174,12 @@ def lint_file(root: Path, path: Path, errors: list[str]) -> None:
             errors.append(
                 f"{rel}:{i}: [R5] raw std::thread/std::async outside"
                 " src/milback/sim/ -- use sim::TrialRunner"
+            )
+
+        if rel.startswith(UPWARD_INCLUDE_SCOPE) and UPWARD_INCLUDE.search(raw):
+            errors.append(
+                f"{rel}:{i}: [R12] src/milback/core/ includes milback/cell/ or"
+                " milback/mesh/ -- keep the library graph acyclic"
             )
 
         if rel.startswith("bench/") and FORK_ARITHMETIC.search(line):
@@ -245,6 +260,7 @@ RULES = (
     ("R9", "std::chrono outside src/milback/obs/ -- sim timestamps must be sim time"),
     ("R10", "ad-hoc 20*log10(distance) FSPL outside src/milback/channel/"),
     ("R11", "ad-hoc TTL/flood/neighbor relay loop outside src/milback/mesh/"),
+    ("R12", "src/milback/core/ including milback/cell/ or milback/mesh/"),
 )
 
 

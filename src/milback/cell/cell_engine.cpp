@@ -683,7 +683,7 @@ CellReport CellEngine::finish() {
     r.service_rate_bps = nodes_.rate_bps[i];
     r.rounds_served = nodes_.rounds_served[i];
     // Unstable if a served node's final backlog exceeds a couple of rounds
-    // of arrivals (the MacSimulator heuristic, kept verbatim).
+    // of arrivals (the original MAC loop's heuristic, kept verbatim).
     if (nodes_.alive[i] && nodes_.rate_bps[i] > 0.0 && last_period_s_ > 0.0 &&
         nodes_.queued_bits[i] > 4.0 * nodes_.arrival_rate_bps[i] * last_period_s_ +
                                     2.0 * payload_bits_) {
@@ -741,94 +741,6 @@ std::size_t CellEngine::attach_node(const CarriedNode& carried, double time_s) {
   obs_->ev_handoff_in.add();
   wake_service(time_s);
   return index;
-}
-
-core::RoundResult CellEngine::run_uplink_round(std::size_t bits_per_node,
-                                               milback::Rng& rng) const {
-  core::RoundResult round;
-  const auto slots = sdm_slots();
-  round.sdm_slots = slots.size();
-  const auto services = flatten_services(slots);
-  std::vector<std::string> ids;
-  ids.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ids.emplace_back(nodes_.id[i].view());
-  }
-
-  // One draw from the caller's generator seeds every per-node stream; the
-  // streams themselves are pure functions of (round_seed, service index), so
-  // the engine may run them in any order on any number of threads.
-  const std::uint64_t round_seed = rng.engine()();
-  const sim::TrialRunner runner;
-  auto results =
-      runner.map<core::NodeRoundResult>(services.size(), [&](std::size_t k) {
-        auto data_rng = Rng::stream(round_seed, k, std::uint64_t{0});
-        auto noise_rng = Rng::stream(round_seed, k, std::uint64_t{1});
-        return serve_uplink_node(link_, nodes_.pose, ids, services[k],
-                                 slots[services[k].slot], bits_per_node,
-                                 data_rng, noise_rng);
-      });
-
-  const double slot_share = slots.empty() ? 1.0 : double(slots.size());
-  for (auto& nr : results) {
-    nr.goodput_bps /= slot_share;
-    // milback-analyze: no-reduction(round results aggregated in fixed node-index order on the calling thread)
-    round.aggregate_goodput_bps += nr.goodput_bps;
-    round.nodes.push_back(std::move(nr));
-  }
-  MILBACK_ENSURE(round.nodes.size() == services.size(),
-                 "run_uplink_round: one result per service");
-  return round;
-}
-
-core::DownlinkRoundResult CellEngine::run_downlink_round(
-    std::size_t bits_per_node, milback::Rng& rng) const {
-  core::DownlinkRoundResult round;
-  const auto slots = sdm_slots();
-  round.sdm_slots = slots.size();
-  const auto services = flatten_services(slots);
-  std::vector<std::string> ids;
-  ids.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ids.emplace_back(nodes_.id[i].view());
-  }
-
-  const std::uint64_t round_seed = rng.engine()();
-  const sim::TrialRunner runner;
-  auto results =
-      runner.map<core::NodeDownlinkResult>(services.size(), [&](std::size_t k) {
-        auto data_rng = Rng::stream(round_seed, k, std::uint64_t{0});
-        auto noise_rng = Rng::stream(round_seed, k, std::uint64_t{1});
-        return serve_downlink_node(link_, nodes_.pose, ids, services[k],
-                                   slots[services[k].slot], bits_per_node,
-                                   data_rng, noise_rng);
-      });
-
-  const double slot_share = slots.empty() ? 1.0 : double(slots.size());
-  for (auto& nr : results) {
-    nr.goodput_bps /= slot_share;
-    // milback-analyze: no-reduction(round results aggregated in fixed node-index order on the calling thread)
-    round.aggregate_goodput_bps += nr.goodput_bps;
-    round.nodes.push_back(std::move(nr));
-  }
-  MILBACK_ENSURE(round.nodes.size() == services.size(),
-                 "run_downlink_round: one result per service");
-  return round;
-}
-
-std::vector<std::vector<std::size_t>> CellEngine::sdm_slots() const {
-  return sdm_partition(nodes_.pose, config_.network.sdm_min_separation_deg);
-}
-
-double CellEngine::inter_node_isolation_db(std::size_t i, std::size_t j) const {
-  MILBACK_REQUIRE(i < nodes_.size() && j < nodes_.size(),
-                  "inter_node_isolation_db: index out of range");
-  return cell::inter_node_isolation_db(link_.channel(), nodes_.pose[i],
-                                       nodes_.pose[j]);
-}
-
-double CellEngine::service_rate_bps(const channel::NodePose& pose) const {
-  return probe_service_rate_bps(link_.channel(), pose, config_.rate);
 }
 
 }  // namespace milback::cell

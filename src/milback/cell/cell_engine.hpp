@@ -1,13 +1,13 @@
 // Discrete-event cell engine: one AP serving a *dynamic* population of
 // backscatter nodes.
 //
-// The pre-existing layers each simulated one slice of cell time — a
-// waveform-level SDM round (MilBackNetwork), a queueing round loop
-// (MacSimulator), one node's adaptive life cycle (AdaptiveSession) — and
-// each had its own private clock. The engine unifies them on a single
-// event queue: node churn (join/leave/move), traffic arrivals, blockage
-// episodes and SDM service sweeps are all events ordered by
-// (time, priority, seq); see event_queue.hpp for the ordering contract.
+// This is the one way to run a cell over time. Node churn
+// (join/leave/move), traffic arrivals, blockage episodes and SDM service
+// sweeps are all events on a single queue ordered by (time, priority, seq);
+// see event_queue.hpp for the ordering contract. With run_sessions each node
+// also drives its own AdaptiveSession on the same clock. A single
+// waveform-level SDM round over a static population needs no clock and is
+// the free function cell::run_uplink_round / run_downlink_round (sdm.hpp).
 //
 // Determinism: run(duration, seed) is a pure function of the scenario and
 // the seed. Every random draw comes from Rng::stream(seed, node, event.seq)
@@ -24,10 +24,9 @@
 // zero event allocations and per-node state fits a fixed byte budget
 // (BM_MultiCell_MemoryPerNode prints the measured number).
 //
-// MilBackNetwork and MacSimulator are thin adapters over this class
-// (field-exact and statistically-equivalent respectively; see
-// tests/integration/test_cell_equivalence.cpp for which guarantee applies
-// where).
+// tests/integration/test_cell_equivalence.cpp pins the engine's queueing
+// loop and the free SDM rounds against verbatim copies of the original
+// round-loop implementations.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +63,7 @@ struct CellConfig {
   core::RateAdaptConfig rate{};       ///< Shared rate-adaptation thresholds.
   std::size_t payload_symbols = 512;  ///< Symbols per service packet.
   double service_period_s = 0.0;      ///< > 0 pins the sweep period; 0 derives
-                                      ///< it per sweep from the SDM slot times
-                                      ///< (the MacSimulator convention).
+                                      ///< it per sweep from the SDM slot times.
   bool run_sessions = false;          ///< Drive a full AdaptiveSession per node
                                       ///< (acquire/track/lost) instead of the
                                       ///< budget probe. Requires a pinned
@@ -230,26 +228,6 @@ class CellEngine {
   /// top of any active blockage episode through the same channel fold. The
   /// MultiCellEngine recomputes this at every epoch barrier.
   void set_external_interference_db(double loss_db);
-
-  /// --- Static-population one-shots (the MilBackNetwork adapter path) ------
-
-  /// One waveform-level uplink SDM round over all registered nodes.
-  /// Field-exact with the pre-engine MilBackNetwork::run_uplink_round.
-  core::RoundResult run_uplink_round(std::size_t bits_per_node,
-                                     milback::Rng& rng) const;
-
-  /// One waveform-level downlink SDM round over all registered nodes.
-  core::DownlinkRoundResult run_downlink_round(std::size_t bits_per_node,
-                                               milback::Rng& rng) const;
-
-  /// Greedy SDM partition of all registered nodes.
-  std::vector<std::vector<std::size_t>> sdm_slots() const;
-
-  /// Beam isolation [dB] between registered nodes i and j.
-  double inter_node_isolation_db(std::size_t i, std::size_t j) const;
-
-  /// Budget-based service rate [bps] for a pose (0 = not worth a slot).
-  double service_rate_bps(const channel::NodePose& pose) const;
 
   /// --- Accessors -----------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
 #include "milback/core/contract.hpp"
+#include "milback/sim/trial_runner.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::cell {
@@ -30,16 +33,6 @@ std::vector<std::vector<std::size_t>> sdm_partition(
     if (!placed) slots.push_back({i});
   }
   return slots;
-}
-
-// milback-analyze: no-contract(total flattening; one service per (slot, member) pair by construction)
-std::vector<SdmService> flatten_services(
-    const std::vector<std::vector<std::size_t>>& slots) {
-  std::vector<SdmService> services;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    for (const std::size_t i : slots[s]) services.push_back(SdmService{s, i});
-  }
-  return services;
 }
 
 double inter_node_isolation_db(const channel::BackscatterChannel& channel,
@@ -72,18 +65,39 @@ double probe_service_rate_bps(const channel::BackscatterChannel& channel,
   return core::service_rate_bps(rate, budget.snr_db);
 }
 
-core::NodeRoundResult serve_uplink_node(const core::MilBackLink& link,
-                                        std::span<const channel::NodePose> poses,
-                                        std::span<const std::string> ids,
-                                        const SdmService& sv,
-                                        std::span<const std::size_t> slot_members,
-                                        std::size_t bits_per_node,
-                                        milback::Rng& data_rng,
-                                        milback::Rng& noise_rng) {
+namespace {
+
+/// One (slot, node) service of a round, in slot-major order.
+struct SdmService {
+  std::size_t slot = 0;
+  std::size_t node = 0;
+};
+
+/// Flattens an sdm_partition into slot-major (slot, node) pairs — the trial
+/// index space of a round.
+std::vector<SdmService> flatten_services(
+    const std::vector<std::vector<std::size_t>>& slots) {
+  std::vector<SdmService> services;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (const std::size_t i : slots[s]) services.push_back(SdmService{s, i});
+  }
+  return services;
+}
+
+/// Serves node `sv.node` in slot `sv.slot` of an uplink round: runs the real
+/// uplink exchange and degrades the budget SNR by the other concurrent
+/// transmitters in the slot.
+NodeRoundResult serve_uplink_node(const core::MilBackLink& link,
+                                  std::span<const channel::NodePose> poses,
+                                  std::span<const std::string> ids,
+                                  const SdmService& sv,
+                                  std::span<const std::size_t> slot_members,
+                                  std::size_t bits_per_node, milback::Rng& data_rng,
+                                  milback::Rng& noise_rng) {
   MILBACK_REQUIRE(sv.node < poses.size() && poses.size() == ids.size(),
                   "serve_uplink_node: node index out of range");
   const std::size_t i = sv.node;
-  core::NodeRoundResult nr;
+  NodeRoundResult nr;
   nr.id = ids[i];
   nr.sdm_slot = sv.slot;
 
@@ -118,7 +132,9 @@ core::NodeRoundResult serve_uplink_node(const core::MilBackLink& link,
   return nr;
 }
 
-core::NodeDownlinkResult serve_downlink_node(
+/// Serves node `sv.node` in slot `sv.slot` of a downlink round: concurrent
+/// beams leak into each other through the TX horn pattern.
+NodeDownlinkResult serve_downlink_node(
     const core::MilBackLink& link, std::span<const channel::NodePose> poses,
     std::span<const std::string> ids, const SdmService& sv,
     std::span<const std::size_t> slot_members, std::size_t bits_per_node,
@@ -126,7 +142,7 @@ core::NodeDownlinkResult serve_downlink_node(
   MILBACK_REQUIRE(sv.node < poses.size() && poses.size() == ids.size(),
                   "serve_downlink_node: node index out of range");
   const std::size_t i = sv.node;
-  core::NodeDownlinkResult nr;
+  NodeDownlinkResult nr;
   nr.id = ids[i];
   nr.sdm_slot = sv.slot;
 
@@ -160,6 +176,64 @@ core::NodeDownlinkResult serve_downlink_node(
     nr.goodput_bps = (1.0 - ber) * link.config().downlink_bit_rate_bps;
   }
   return nr;
+}
+
+/// The shared round body: partition, flatten, serve every (slot, node) pair
+/// on the TrialRunner, divide by the slot share, then sum in service order.
+template <typename Round, typename Serve>
+Round run_round(const core::MilBackLink& link,
+                std::span<const channel::NodePose> poses,
+                std::span<const std::string> ids, double min_separation_deg,
+                std::size_t bits_per_node, milback::Rng& rng, Serve serve) {
+  MILBACK_REQUIRE(poses.size() == ids.size(), "run_round: one id per pose");
+  Round round;
+  const auto slots = sdm_partition(poses, min_separation_deg);
+  round.sdm_slots = slots.size();
+  const auto services = flatten_services(slots);
+
+  // One draw from the caller's generator seeds every per-node stream; the
+  // streams themselves are pure functions of (round_seed, service index), so
+  // the runner may serve them in any order on any number of threads.
+  const std::uint64_t round_seed = rng.engine()();
+  const sim::TrialRunner runner;
+  auto results = runner.map<typename decltype(Round::nodes)::value_type>(
+      services.size(), [&](std::size_t k) {
+        auto data_rng = Rng::stream(round_seed, k, std::uint64_t{0});
+        auto noise_rng = Rng::stream(round_seed, k, std::uint64_t{1});
+        return serve(link, poses, ids, services[k], slots[services[k].slot],
+                     bits_per_node, data_rng, noise_rng);
+      });
+
+  const double slot_share = slots.empty() ? 1.0 : double(slots.size());
+  for (auto& nr : results) {
+    nr.goodput_bps /= slot_share;
+    // milback-analyze: no-reduction(round results aggregated in fixed service order on the calling thread)
+    round.aggregate_goodput_bps += nr.goodput_bps;
+    round.nodes.push_back(std::move(nr));
+  }
+  MILBACK_ENSURE(round.nodes.size() == services.size(),
+                 "run_round: one result per service");
+  return round;
+}
+
+}  // namespace
+
+RoundResult run_uplink_round(const core::MilBackLink& link,
+                             std::span<const channel::NodePose> poses,
+                             std::span<const std::string> ids,
+                             double min_separation_deg, std::size_t bits_per_node,
+                             milback::Rng& rng) {
+  return run_round<RoundResult>(link, poses, ids, min_separation_deg,
+                                bits_per_node, rng, serve_uplink_node);
+}
+
+DownlinkRoundResult run_downlink_round(const core::MilBackLink& link,
+                                       std::span<const channel::NodePose> poses,
+                                       std::span<const std::string> ids,
+                                       double min_separation_deg,
+                                       std::size_t bits_per_node, milback::Rng& rng) {
+  return run_round<DownlinkRoundResult>(link, poses, ids, min_separation_deg,
+                                        bits_per_node, rng, serve_downlink_node);
 }
 
 }  // namespace milback::cell

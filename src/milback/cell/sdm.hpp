@@ -1,16 +1,16 @@
-// SDM scheduling and per-node service primitives shared by the cell engine
-// and its adapters (MilBackNetwork, MacSimulator).
+// SDM scheduling and waveform-level service rounds (Section 7: "MilBack can
+// potentially support multiple nodes by using spatial division
+// multiplexing").
 //
-// These are the Section-7 mechanics factored out of MilBackNetwork so a
-// dynamic population can use them: greedy bearing-separation slotting, the
-// horn-pattern isolation between concurrent beams, one node's waveform-level
-// uplink/downlink service within a slot, and the budget-based service-rate
-// probe the scheduler uses to decide whether a node is worth a slot.
-//
-// The serve_* functions are exact moves of the pre-cell-engine
-// MilBackNetwork internals — arithmetic and RNG consumption are unchanged,
-// which is what keeps the adapter round results bit-identical to the
-// pre-refactor ones (see tests/integration/test_cell_equivalence.cpp).
+// The AP serves nodes whose bearings are separated by more than its beam
+// width concurrently (SDM slots); nodes closer together share a slot by time
+// division. This header holds the Section-7 mechanics the cell engine and
+// its callers share: greedy bearing-separation slotting, the horn-pattern
+// isolation between concurrent beams, the budget-based service-rate probe
+// the scheduler uses to decide whether a node is worth a slot, and one full
+// waveform-level uplink/downlink round over a static population, in which
+// each link's budget is degraded by the other concurrent nodes' signals
+// leaking through the horn pattern.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "milback/core/link.hpp"
 #include "milback/core/rate_adapt.hpp"
-#include "milback/core/round_types.hpp"
 
 namespace milback::cell {
 
@@ -27,17 +27,6 @@ namespace milback::cell {
 /// all nodes in a slot are pairwise separated by `min_separation_deg`.
 std::vector<std::vector<std::size_t>> sdm_partition(
     std::span<const channel::NodePose> poses, double min_separation_deg);
-
-/// One (slot, node) service of a round, in slot-major order.
-struct SdmService {
-  std::size_t slot = 0;
-  std::size_t node = 0;
-};
-
-/// Flattens an sdm_partition into slot-major (slot, node) pairs — the
-/// engine's trial index space for a round.
-std::vector<SdmService> flatten_services(
-    const std::vector<std::vector<std::size_t>>& slots);
 
 /// Power isolation [dB] between the beams serving two bearings (TX + RX
 /// horn pattern attenuation at the bearing offset).
@@ -51,24 +40,61 @@ double probe_service_rate_bps(const channel::BackscatterChannel& channel,
                               const channel::NodePose& pose,
                               const core::RateAdaptConfig& rate);
 
-/// Serves node `sv.node` in slot `sv.slot` of a waveform-level uplink round:
-/// runs the real uplink exchange and degrades the budget SNR by the other
-/// concurrent transmitters in the slot.
-core::NodeRoundResult serve_uplink_node(const core::MilBackLink& link,
-                                        std::span<const channel::NodePose> poses,
-                                        std::span<const std::string> ids,
-                                        const SdmService& sv,
-                                        std::span<const std::size_t> slot_members,
-                                        std::size_t bits_per_node,
-                                        milback::Rng& data_rng,
-                                        milback::Rng& noise_rng);
+/// One node's slice of an uplink service round.
+struct NodeRoundResult {
+  std::string id;
+  core::UplinkRunResult uplink{};
+  double effective_snr_db = 0.0;  ///< Budget SNR after inter-node interference.
+  double goodput_bps = 0.0;       ///< (1 - BER) * rate / slot-share.
+  std::size_t sdm_slot = 0;       ///< Which concurrent slot served this node.
+};
 
-/// Serves node `sv.node` in slot `sv.slot` of a waveform-level downlink
-/// round: concurrent beams leak into each other through the TX horn pattern.
-core::NodeDownlinkResult serve_downlink_node(
-    const core::MilBackLink& link, std::span<const channel::NodePose> poses,
-    std::span<const std::string> ids, const SdmService& sv,
-    std::span<const std::size_t> slot_members, std::size_t bits_per_node,
-    milback::Rng& data_rng, milback::Rng& noise_rng);
+/// Outcome of one full uplink service round.
+struct RoundResult {
+  std::vector<NodeRoundResult> nodes;
+  std::size_t sdm_slots = 0;       ///< Number of sequential slots used.
+  double aggregate_goodput_bps = 0.0;
+};
+
+/// One node's slice of a downlink round.
+struct NodeDownlinkResult {
+  std::string id;
+  core::DownlinkRunResult downlink{};
+  double effective_sinr_db = 0.0;  ///< Budget SINR after inter-beam leakage.
+  double goodput_bps = 0.0;        ///< (1 - BER) * rate / slot share.
+  std::size_t sdm_slot = 0;
+};
+
+/// Outcome of one downlink service round.
+struct DownlinkRoundResult {
+  std::vector<NodeDownlinkResult> nodes;
+  std::size_t sdm_slots = 0;
+  double aggregate_goodput_bps = 0.0;
+};
+
+/// One waveform-level uplink round: every node (`poses[i]`, named `ids[i]`)
+/// sends `bits_per_node` random bits; nodes in the same SDM slot transmit
+/// concurrently and interfere. Results come in slot-major order.
+///
+/// The per-node work runs on sim::TrialRunner (worker count from
+/// MILBACK_SIM_THREADS): exactly one value is drawn from `rng`, and service
+/// k draws from the stateless streams (round_seed, k, 0) for its bits and
+/// (round_seed, k, 1) for its noise, so the result is bit-identical at any
+/// thread count.
+RoundResult run_uplink_round(const core::MilBackLink& link,
+                             std::span<const channel::NodePose> poses,
+                             std::span<const std::string> ids,
+                             double min_separation_deg, std::size_t bits_per_node,
+                             milback::Rng& rng);
+
+/// One waveform-level downlink round: the AP pushes `bits_per_node` to every
+/// node; concurrent beams within a slot leak into each other through the TX
+/// horn pattern, degrading each link's effective SINR. Same RNG contract as
+/// run_uplink_round.
+DownlinkRoundResult run_downlink_round(const core::MilBackLink& link,
+                                       std::span<const channel::NodePose> poses,
+                                       std::span<const std::string> ids,
+                                       double min_separation_deg,
+                                       std::size_t bits_per_node, milback::Rng& rng);
 
 }  // namespace milback::cell

@@ -1,11 +1,10 @@
 // Shared rate-adaptation policy — the single source of truth for the
 // Fig 15 operating-point thresholds.
 //
-// The session layer, the MAC simulator and the cell engine all pick between
+// The adaptive session and the cell engine's scheduler both pick between
 // the paper's 10 and 40 Mbps uplink operating points from a budget SNR.
-// Before this header existed each layer carried its own copy of the
-// thresholds (and they drifted: SessionConfig said 10 Mbps needs 12 dB while
-// MacConfig said 10 dB). Every consumer now embeds one RateAdaptConfig, so a
+// Each consumer embeds one RateAdaptConfig (SessionConfig::rate,
+// cell::CellConfig::rate) rather than its own copy of the thresholds, so a
 // re-calibration lands everywhere at once.
 //
 // Two decision flavours exist because the layers ask different questions:
@@ -18,7 +17,7 @@
 
 namespace milback::core {
 
-/// Rate-adaptation thresholds shared by Session, MacSimulator and CellEngine.
+/// Rate-adaptation thresholds shared by AdaptiveSession and CellEngine.
 struct RateAdaptConfig {
   double snr_for_40mbps_db = 16.0;  ///< Budget SNR to run 40 Mbps raw
                                     ///< (~6 dB over 10 Mbps: 4x noise
@@ -37,10 +36,12 @@ struct RateDecision {
 };
 
 /// Scheduler decision: 40e6 / 10e6 / 0 bps (0 = not worth a service slot).
-double service_rate_bps(const RateAdaptConfig& config, double snr_db) noexcept;
+/// Throws ContractViolation on a non-finite `snr_db`.
+double service_rate_bps(const RateAdaptConfig& config, double snr_db);
 
 /// Session decision: rate plus FEC, falling back to 10 Mbps + FEC below the
 /// 10 Mbps threshold (an established link keeps trying; see session.hpp).
-RateDecision adapt_rate(const RateAdaptConfig& config, double snr_db) noexcept;
+/// Throws ContractViolation on a non-finite `snr_db`.
+RateDecision adapt_rate(const RateAdaptConfig& config, double snr_db);
 
 }  // namespace milback::core

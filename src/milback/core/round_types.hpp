@@ -1,25 +1,14 @@
-// Shared value types for multi-node service: node registration, SDM round
-// outcomes and traffic descriptions.
+// Shared value types for multi-node service: the network-level link + SDM
+// configuration and one node's traffic description.
 //
-// These used to live inside network.hpp / mac.hpp, but the cell engine
-// (src/milback/cell/) produces and consumes the same shapes, and both
-// MilBackNetwork and MacSimulator are now adapters over it — so the plain
-// data moved below the class layer to break the include cycle. network.hpp
-// and mac.hpp re-export the old names, so existing call sites are untouched.
+// Plain data with no behavior, kept in core so code above it (the cell
+// engine, scenario drivers) can name a cell's configuration and its traffic
+// sources.
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "milback/core/link.hpp"
 
 namespace milback::core {
-
-/// A registered node.
-struct NetworkNode {
-  std::string id;            ///< Caller-chosen identifier.
-  channel::NodePose pose{};  ///< Ground-truth pose (the simulation's truth).
-};
 
 /// Network-level configuration.
 struct NetworkConfig {
@@ -33,38 +22,6 @@ struct TrafficSpec {
   channel::NodePose pose{};          ///< Where the tag sits.
   double arrival_rate_bps = 50e3;    ///< Mean offered uplink load.
   double burstiness = 1.0;           ///< Arrival jitter: 0 = CBR, 1 = heavy jitter.
-};
-
-/// One node's slice of an uplink service round.
-struct NodeRoundResult {
-  std::string id;
-  UplinkRunResult uplink{};
-  double effective_snr_db = 0.0;  ///< Budget SNR after inter-node interference.
-  double goodput_bps = 0.0;       ///< (1 - BER) * rate / slot-share.
-  std::size_t sdm_slot = 0;       ///< Which concurrent slot served this node.
-};
-
-/// Outcome of one full uplink service round.
-struct RoundResult {
-  std::vector<NodeRoundResult> nodes;
-  std::size_t sdm_slots = 0;       ///< Number of sequential slots used.
-  double aggregate_goodput_bps = 0.0;
-};
-
-/// One node's slice of a downlink round.
-struct NodeDownlinkResult {
-  std::string id;
-  DownlinkRunResult downlink{};
-  double effective_sinr_db = 0.0;  ///< Budget SINR after inter-beam leakage.
-  double goodput_bps = 0.0;        ///< (1 - BER) * rate / slot share.
-  std::size_t sdm_slot = 0;
-};
-
-/// Outcome of one downlink service round.
-struct DownlinkRoundResult {
-  std::vector<NodeDownlinkResult> nodes;
-  std::size_t sdm_slots = 0;
-  double aggregate_goodput_bps = 0.0;
 };
 
 }  // namespace milback::core

@@ -41,6 +41,21 @@ TEST(CellEngine, StaticPopulationDeliversTraffic) {
   }
 }
 
+TEST(CellEngine, UnservableCellRunsNoSweeps) {
+  // The only node sits beyond the 10 Mbps budget: no sweep ever has a slot
+  // to serve, yet the run completes stable with the node's row present and
+  // its traffic undelivered.
+  auto engine = make_engine();
+  engine.add_node("ghost", spec(18.0, 0.0, 10e3));
+  const auto report = engine.run(0.2, 3);
+  EXPECT_EQ(report.service_rounds, 0u);
+  EXPECT_TRUE(report.stable);
+  ASSERT_EQ(report.nodes.size(), 1u);
+  EXPECT_EQ(report.nodes[0].id.view(), "ghost");
+  EXPECT_DOUBLE_EQ(report.nodes[0].delivered_bits, 0.0);
+  EXPECT_EQ(report.nodes[0].rounds_served, 0u);
+}
+
 TEST(CellEngine, LateJoinerAccruesTrafficOnlyWhileAlive) {
   auto full_time = make_engine();
   full_time.add_node("a", spec(2.0, 0.0));

@@ -2,8 +2,10 @@
 // the single source of truth for the Fig 15 thresholds.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "milback/cell/cell_engine.hpp"
-#include "milback/core/mac.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/core/rate_adapt.hpp"
 #include "milback/core/session.hpp"
 
@@ -48,18 +50,17 @@ TEST(RateAdapt, AdaptRateNeverGivesUp) {
 
 TEST(RateAdapt, SingleSourceOfTruthAcrossLayers) {
   // Regression for the threshold drift this config fixed: SessionConfig used
-  // to carry 12 dB for 10 Mbps while MacConfig carried 10 dB. Every layer
-  // now embeds RateAdaptConfig, so the defaults must be byte-for-byte the
-  // same object everywhere.
+  // to carry 12 dB for 10 Mbps while the MAC carried 10 dB. Every layer now
+  // embeds RateAdaptConfig, so the defaults must be byte-for-byte the same
+  // object everywhere.
   const RateAdaptConfig truth;
   EXPECT_DOUBLE_EQ(truth.snr_for_10mbps_db, 10.0);
   EXPECT_DOUBLE_EQ(truth.snr_for_40mbps_db, 16.0);
   EXPECT_DOUBLE_EQ(truth.fec_margin_db, 3.0);
 
   const SessionConfig session;
-  const MacConfig mac;
   const cell::CellConfig engine;
-  for (const auto& layer : {session.rate, mac.rate, engine.rate}) {
+  for (const auto& layer : {session.rate, engine.rate}) {
     EXPECT_DOUBLE_EQ(layer.snr_for_10mbps_db, truth.snr_for_10mbps_db);
     EXPECT_DOUBLE_EQ(layer.snr_for_40mbps_db, truth.snr_for_40mbps_db);
     EXPECT_DOUBLE_EQ(layer.fec_margin_db, truth.fec_margin_db);
@@ -67,20 +68,39 @@ TEST(RateAdapt, SingleSourceOfTruthAcrossLayers) {
 }
 
 TEST(RateAdapt, RecalibrationPropagatesThroughMac) {
-  // Tightening the shared threshold must change the MAC's scheduling
-  // decision — proof the MAC consults the shared config, not a private copy.
+  // Tightening the shared threshold must change the scheduler's decision —
+  // proof the cell engine's service probe consults CellConfig::rate, not a
+  // private copy.
   Rng env(1);
-  auto channel = channel::BackscatterChannel::make_default(
+  const auto channel = channel::BackscatterChannel::make_default(
       channel::Environment::indoor_office(env));
   const channel::NodePose pose{9.0, 0.0, 15.0};  // ~10.9 dB budget SNR
 
-  MacSimulator loose(channel, MacConfig{});
-  EXPECT_DOUBLE_EQ(loose.service_rate_bps(pose), 10e6);
+  const cell::CellConfig loose;
+  EXPECT_DOUBLE_EQ(cell::probe_service_rate_bps(channel, pose, loose.rate), 10e6);
 
-  MacConfig strict_cfg;
-  strict_cfg.rate.snr_for_10mbps_db = 12.0;  // the old SessionConfig value
-  MacSimulator strict(channel, strict_cfg);
-  EXPECT_DOUBLE_EQ(strict.service_rate_bps(pose), 0.0);
+  cell::CellConfig strict;
+  strict.rate.snr_for_10mbps_db = 12.0;  // the old SessionConfig value
+  EXPECT_DOUBLE_EQ(cell::probe_service_rate_bps(channel, pose, strict.rate), 0.0);
+
+  // The engine's sweeps take the same decision: the node is never served.
+  cell::CellEngine engine(channel, strict);
+  engine.add_node("far", {.pose = pose, .arrival_rate_bps = 10e3});
+  const auto report = engine.run(0.1, 5);
+  ASSERT_EQ(report.nodes.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.nodes[0].delivered_bits, 0.0);
+}
+
+TEST(RateAdapt, NonFiniteSnrRaisesCatchableViolation) {
+  // Both decisions validate their input; a NaN or infinite SNR must surface
+  // as a ContractViolation the caller can catch, never std::terminate.
+  const RateAdaptConfig cfg;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)service_rate_bps(cfg, bad), ContractViolation) << bad;
+    EXPECT_THROW((void)adapt_rate(cfg, bad), ContractViolation) << bad;
+  }
 }
 
 }  // namespace

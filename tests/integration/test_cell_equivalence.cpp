@@ -1,22 +1,24 @@
-// Adapter equivalence against pre-refactor behavior (tier-1).
+// Cell equivalence against the original round-loop implementations (tier-1).
 //
-// MilBackNetwork and MacSimulator were rewritten as adapters over the
-// discrete-event cell engine. This suite pins the adapter outputs against
-// reference implementations copied verbatim from the pre-refactor code, and
-// documents which guarantee applies where:
+// The SDM round and the queueing MAC loop both moved onto the cell layer:
+// the rounds are the free functions cell::run_{up,down}link_round and the
+// MAC is CellEngine::run with a derived sweep period. This suite pins them
+// against reference implementations copied verbatim from the original code,
+// and documents which guarantee applies where:
 //
-//   * MilBackNetwork::run_uplink_round / run_downlink_round are FIELD-EXACT:
-//     the per-node service arithmetic moved to cell/sdm.cpp unchanged and the
-//     RNG consumption order is preserved (one engine() draw per round, one
-//     (round_seed, k, 0|1) stream pair per service), so every field of every
-//     node result is bit-identical.
+//   * cell::run_uplink_round / run_downlink_round are FIELD-EXACT: the
+//     per-node service arithmetic is unchanged and the RNG consumption order
+//     is preserved (one engine() draw per round, one (round_seed, k, 0|1)
+//     stream pair per service), so every field of every node result is
+//     bit-identical.
 //
-//   * MacSimulator::run is STATISTICALLY MATCHED: deterministic quantities
-//     (SDM schedule, round period, round count, per-node service rates, cell
-//     capacity, stability classification) are exact, but arrival jitter now
-//     draws from stateless per-event streams instead of the caller's shared
-//     generator, so traffic-dependent quantities (offered/delivered bits,
-//     latencies) agree in distribution, not bit-for-bit.
+//   * CellEngine::run is STATISTICALLY MATCHED to the legacy MAC loop:
+//     deterministic quantities (SDM schedule, round period, round count,
+//     per-node service rates, cell capacity, stability classification) are
+//     exact, but arrival jitter draws from stateless per-event streams
+//     instead of the caller's shared generator, so traffic-dependent
+//     quantities (offered/delivered bits, latencies) agree in distribution,
+//     not bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,16 +27,21 @@
 #include <string>
 #include <vector>
 
+#include "milback/cell/cell_engine.hpp"
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
+#include "milback/core/packet.hpp"
 #include "milback/rf/envelope_detector.hpp"
-#include "milback/core/mac.hpp"
-#include "milback/core/network.hpp"
 #include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::core {
 namespace {
+
+using cell::DownlinkRoundResult;
+using cell::NodeDownlinkResult;
+using cell::NodeRoundResult;
+using cell::RoundResult;
 
 channel::BackscatterChannel make_channel(std::uint64_t env_seed = 1) {
   Rng env(env_seed);
@@ -43,6 +50,12 @@ channel::BackscatterChannel make_channel(std::uint64_t env_seed = 1) {
 }
 
 // --- Reference: pre-refactor MilBackNetwork round loop (verbatim copy) -----
+
+/// A registered node of the legacy network.
+struct NetworkNode {
+  std::string id;
+  channel::NodePose pose{};
+};
 
 struct LegacyNetwork {
   NetworkConfig config;
@@ -206,6 +219,26 @@ struct LegacyNetwork {
 // --- Reference: pre-refactor MacSimulator::run (verbatim copy, old 16/10 dB
 // thresholds inlined) --------------------------------------------------------
 
+struct MacNodeReport {
+  std::string id;
+  double offered_bits = 0.0;
+  double delivered_bits = 0.0;
+  double mean_latency_s = 0.0;
+  double p95_latency_s = 0.0;
+  double peak_queue_bits = 0.0;
+  double final_queue_bits = 0.0;
+  double service_rate_bps = 0.0;
+};
+
+struct MacReport {
+  std::vector<MacNodeReport> nodes;
+  double duration_s = 0.0;
+  std::size_t rounds = 0;
+  double aggregate_goodput_bps = 0.0;
+  double cell_capacity_bps = 0.0;
+  bool stable = true;
+};
+
 struct LegacyMac {
   struct Chunk {
     double bits;
@@ -223,11 +256,11 @@ struct LegacyMac {
     double rate_bps = 0.0;
   };
 
-  MacConfig config;
+  cell::CellConfig config;
   channel::BackscatterChannel channel;
   std::vector<NodeState> nodes;
 
-  LegacyMac(channel::BackscatterChannel chan, MacConfig cfg)
+  LegacyMac(channel::BackscatterChannel chan, cell::CellConfig cfg)
       : config(cfg), channel(std::move(chan)) {}
 
   void add_node(std::string id, const TrafficSpec& spec) {
@@ -352,24 +385,40 @@ struct LegacyMac {
   }
 };
 
-// --- Field-exact: network adapter vs pre-refactor round loop ---------------
+// --- Field-exact: free SDM rounds vs pre-refactor round loop --------------
+
+/// The free rounds' view of a fleet: one link, parallel id/pose columns.
+struct Fleet {
+  MilBackLink link{make_channel(), NetworkConfig{}.link};
+  double min_sep_deg = NetworkConfig{}.sdm_min_separation_deg;
+  std::vector<std::string> ids;
+  std::vector<channel::NodePose> poses;
+};
+
+Fleet register_fleet(
+    LegacyNetwork& legacy,
+    const std::vector<std::pair<std::string, channel::NodePose>>& nodes) {
+  Fleet fleet;
+  for (const auto& [id, pose] : nodes) {
+    fleet.ids.push_back(id);
+    fleet.poses.push_back(pose);
+    legacy.nodes.push_back(NetworkNode{id, pose});
+  }
+  return fleet;
+}
 
 TEST(CellEquivalence, UplinkRoundIsFieldExact) {
-  MilBackNetwork adapter(make_channel(), NetworkConfig{});
   LegacyNetwork legacy(make_channel(), NetworkConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> fleet = {
+  const auto fleet = register_fleet(legacy, {
       {"a", {2.0, -25.0, 12.0}},
       {"b", {2.5, 0.0, -12.0}},
       {"c", {3.0, 5.0, 8.0}},  // shares a slot with "b"
       {"d", {3.5, 30.0, -4.0}},
-  };
-  for (const auto& [id, pose] : fleet) {
-    adapter.add_node(id, pose);
-    legacy.nodes.push_back(NetworkNode{id, pose});
-  }
+  });
 
   Rng r1(99), r2(99);
-  const auto got = adapter.run_uplink_round(200, r1);
+  const auto got = cell::run_uplink_round(fleet.link, fleet.poses, fleet.ids,
+                                          fleet.min_sep_deg, 200, r1);
   const auto want = legacy.run_uplink_round(200, r2);
 
   EXPECT_EQ(got.sdm_slots, want.sdm_slots);
@@ -394,21 +443,17 @@ TEST(CellEquivalence, UplinkRoundIsFieldExact) {
 }
 
 TEST(CellEquivalence, DownlinkRoundIsFieldExact) {
-  MilBackNetwork adapter(make_channel(), NetworkConfig{});
   LegacyNetwork legacy(make_channel(), NetworkConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> fleet = {
+  const auto fleet = register_fleet(legacy, {
       {"a", {2.0, -25.0, 12.0}},
       {"b", {2.5, 0.0, -12.0}},
       {"c", {3.0, 5.0, 8.0}},
       {"d", {3.5, 30.0, -4.0}},
-  };
-  for (const auto& [id, pose] : fleet) {
-    adapter.add_node(id, pose);
-    legacy.nodes.push_back(NetworkNode{id, pose});
-  }
+  });
 
   Rng r1(123), r2(123);
-  const auto got = adapter.run_downlink_round(200, r1);
+  const auto got = cell::run_downlink_round(fleet.link, fleet.poses, fleet.ids,
+                                            fleet.min_sep_deg, 200, r1);
   const auto want = legacy.run_downlink_round(200, r2);
 
   EXPECT_EQ(got.sdm_slots, want.sdm_slots);
@@ -430,34 +475,32 @@ TEST(CellEquivalence, DownlinkRoundIsFieldExact) {
 }
 
 TEST(CellEquivalence, SdmScheduleAndIsolationAreFieldExact) {
-  MilBackNetwork adapter(make_channel(), NetworkConfig{});
   LegacyNetwork legacy(make_channel(), NetworkConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> fleet = {
+  const auto fleet = register_fleet(legacy, {
       {"a", {2.0, -25.0, 12.0}}, {"b", {2.5, 0.0, -12.0}},
       {"c", {3.0, 5.0, 8.0}},    {"d", {3.5, 30.0, -4.0}},
       {"e", {4.0, -22.0, 6.0}},
-  };
-  for (const auto& [id, pose] : fleet) {
-    adapter.add_node(id, pose);
-    legacy.nodes.push_back(NetworkNode{id, pose});
-  }
-  EXPECT_EQ(adapter.sdm_slots(), legacy.sdm_slots());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    for (std::size_t j = 0; j < fleet.size(); ++j) {
+  });
+  EXPECT_EQ(cell::sdm_partition(fleet.poses, fleet.min_sep_deg), legacy.sdm_slots());
+  for (std::size_t i = 0; i < fleet.poses.size(); ++i) {
+    for (std::size_t j = 0; j < fleet.poses.size(); ++j) {
       if (i == j) continue;
-      EXPECT_DOUBLE_EQ(adapter.inter_node_isolation_db(i, j),
+      EXPECT_DOUBLE_EQ(cell::inter_node_isolation_db(fleet.link.channel(),
+                                                     fleet.poses[i], fleet.poses[j]),
                        legacy.isolation_db(i, j));
     }
   }
 }
 
-// --- Statistically matched: MAC adapter vs pre-refactor round loop ---------
+// --- Statistically matched: CellEngine::run vs pre-refactor MAC loop -------
 
 TEST(CellEquivalence, MacDeterministicQuantitiesAreExact) {
-  MacSimulator adapter(make_channel(), MacConfig{});
-  LegacyMac legacy(make_channel(), MacConfig{});
+  const cell::CellConfig config;
+  const auto channel = make_channel();
+  cell::CellEngine engine(channel, config);
+  LegacyMac legacy(make_channel(), config);
   const auto add = [&](const std::string& id, const TrafficSpec& spec) {
-    adapter.add_node(id, spec);
+    engine.add_node(id, spec);
     legacy.add_node(id, spec);
   };
   add("near", {.pose = {2.0, -25.0, 12.0}, .arrival_rate_bps = 200e3});
@@ -467,21 +510,21 @@ TEST(CellEquivalence, MacDeterministicQuantitiesAreExact) {
   add("ghost", {.pose = {18.0, -30.0, 12.0}, .arrival_rate_bps = 50e3});
 
   Rng r1(4242), r2(4242);
-  const auto got = adapter.run(0.5, r1);
+  const auto got = engine.run(0.5, r1.engine()());
   const auto want = legacy.run(0.5, r2);
 
   // Exact: schedule-derived quantities (no randomness involved).
-  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.service_rounds, want.rounds);
   EXPECT_DOUBLE_EQ(got.cell_capacity_bps, want.cell_capacity_bps);
   EXPECT_EQ(got.stable, want.stable);
   ASSERT_EQ(got.nodes.size(), want.nodes.size());
   for (std::size_t i = 0; i < got.nodes.size(); ++i) {
-    EXPECT_EQ(got.nodes[i].id, want.nodes[i].id);
+    EXPECT_EQ(got.nodes[i].id.view(), want.nodes[i].id);
     EXPECT_DOUBLE_EQ(got.nodes[i].service_rate_bps, want.nodes[i].service_rate_bps);
   }
   // Per-pose scheduling decisions are the same function.
   for (const auto& n : legacy.nodes) {
-    EXPECT_DOUBLE_EQ(adapter.service_rate_bps(n.spec.pose),
+    EXPECT_DOUBLE_EQ(cell::probe_service_rate_bps(channel, n.spec.pose, config.rate),
                      legacy.service_rate_bps(n.spec.pose));
   }
 }
@@ -491,14 +534,14 @@ TEST(CellEquivalence, MacTrafficQuantitiesAreStatisticallyMatched) {
   // per-event streams, so traffic totals agree in distribution only. With
   // ~300 rounds the relative standard error of the mean jitter is ~3%, so a
   // 10% tolerance is a > 3-sigma bound.
-  MacSimulator adapter(make_channel(), MacConfig{});
-  LegacyMac legacy(make_channel(), MacConfig{});
+  cell::CellEngine engine(make_channel(), cell::CellConfig{});
+  LegacyMac legacy(make_channel(), cell::CellConfig{});
   const TrafficSpec spec{.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 400e3};
-  adapter.add_node("a", spec);
+  engine.add_node("a", spec);
   legacy.add_node("a", spec);
 
   Rng r1(7), r2(7);
-  const auto got = adapter.run(0.5, r1);
+  const auto got = engine.run(0.5, r1.engine()());
   const auto want = legacy.run(0.5, r2);
 
   ASSERT_EQ(got.nodes.size(), 1u);
@@ -510,19 +553,6 @@ TEST(CellEquivalence, MacTrafficQuantitiesAreStatisticallyMatched) {
               0.15 * want.nodes[0].mean_latency_s);
   EXPECT_NEAR(got.aggregate_goodput_bps, want.aggregate_goodput_bps,
               0.10 * want.aggregate_goodput_bps);
-}
-
-TEST(CellEquivalence, MacUnservableCellReportsLegacyEmptyShape) {
-  // Pre-refactor contract: when no node is servable the report comes back
-  // clean and empty rather than as a list of all-zero nodes.
-  MacSimulator adapter(make_channel(), MacConfig{});
-  adapter.add_node("ghost", {.pose = {18.0, 0.0, 12.0}, .arrival_rate_bps = 10e3});
-  Rng rng(3);
-  const auto report = adapter.run(0.2, rng);
-  EXPECT_TRUE(report.stable);
-  EXPECT_TRUE(report.nodes.empty());
-  EXPECT_EQ(report.rounds, 0u);
-  EXPECT_DOUBLE_EQ(report.cell_capacity_bps, 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Thread-count invariance: the sim engine's core guarantee is that the
 // worker count is a pure performance knob. A Sweep over the physical link
-// and a full network service round must produce bit-identical results with
+// and a full SDM service round must produce bit-identical results with
 // MILBACK_SIM_THREADS=1 and =4 — any divergence means a trial drew from
 // shared state instead of its own (seed, point, trial) stream.
 //
@@ -13,8 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "milback/cell/sdm.hpp"
 #include "milback/core/link.hpp"
-#include "milback/core/network.hpp"
+#include "milback/core/round_types.hpp"
 #include "milback/dsp/fft.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/window.hpp"
@@ -55,17 +56,26 @@ core::MilBackLink make_link(std::uint64_t env_seed) {
                            core::LinkConfig{});
 }
 
-core::MilBackNetwork make_network(std::uint64_t env_seed) {
-  Rng env(env_seed);
-  auto net = core::MilBackNetwork(
-      channel::BackscatterChannel::make_default(
-          channel::Environment::indoor_office(env)),
-      core::NetworkConfig{});
-  net.add_node("a", {2.0, -25.0, 12.0});
-  net.add_node("b", {2.5, 0.0, -12.0});
-  net.add_node("c", {3.0, 5.0, 8.0});  // shares a slot with "b"
-  net.add_node("d", {3.5, 30.0, -4.0});
-  return net;
+/// A four-node static population for the SDM round checks.
+struct StaticCell {
+  core::MilBackLink link;
+  std::vector<std::string> ids{"a", "b", "c", "d"};
+  std::vector<channel::NodePose> poses{{2.0, -25.0, 12.0},
+                                       {2.5, 0.0, -12.0},
+                                       {3.0, 5.0, 8.0},  // shares a slot with "b"
+                                       {3.5, 30.0, -4.0}};
+  double min_sep_deg = core::NetworkConfig{}.sdm_min_separation_deg;
+
+  cell::RoundResult uplink(std::size_t bits, Rng& rng) const {
+    return cell::run_uplink_round(link, poses, ids, min_sep_deg, bits, rng);
+  }
+  cell::DownlinkRoundResult downlink(std::size_t bits, Rng& rng) const {
+    return cell::run_downlink_round(link, poses, ids, min_sep_deg, bits, rng);
+  }
+};
+
+StaticCell make_network(std::uint64_t env_seed) {
+  return StaticCell{make_link(env_seed)};
 }
 
 TEST(ThreadInvariance, LinkSweepIsBitIdenticalAcrossWorkerCounts) {
@@ -104,7 +114,7 @@ TEST(ThreadInvariance, UplinkRoundIsBitIdenticalAcrossWorkerCounts) {
     const ScopedThreads env(threads);
     const auto net = make_network(3);
     Rng rng(17);
-    return net.run_uplink_round(200, rng);
+    return net.uplink(200, rng);
   };
 
   const auto one = run("1");
@@ -139,7 +149,7 @@ TEST(ThreadInvariance, DownlinkRoundIsBitIdenticalAcrossWorkerCounts) {
     const ScopedThreads env(threads);
     const auto net = make_network(3);
     Rng rng(19);
-    return net.run_downlink_round(200, rng);
+    return net.downlink(200, rng);
   };
 
   const auto one = run("1");
@@ -236,7 +246,7 @@ TEST(ThreadInvariance, RoundsConsumeOneDrawRegardlessOfThreads) {
     const ScopedThreads env(threads);
     const auto net = make_network(3);
     Rng rng(23);
-    (void)net.run_uplink_round(100, rng);
+    (void)net.uplink(100, rng);
     return rng.engine()();
   };
   EXPECT_EQ(next_draw_after_round("1"), next_draw_after_round("4"));

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Fixture suite for scripts/physics_lint.py rules R10 and R11.
+"""Fixture suite for scripts/physics_lint.py rules R10, R11 and R12.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the flagged ones,
 src/milback/channel/ and src/milback/mesh/ for the allowed-scope negative
-controls), runs physics_lint on the staged tree, and asserts the reported
-findings match the `lint-expect: R<n>` markers exactly — same rule id, same
-staged file, same line — with nothing reported for the clean controls.
+controls, src/milback/core/ for the layering pair), runs physics_lint on the
+staged tree, and asserts the reported findings match the `lint-expect: R<n>`
+markers exactly — same rule id, same staged file, same line — with nothing
+reported for the clean controls.
 
 Exit status 0 on an exact match, 1 otherwise.
 """
@@ -33,6 +34,8 @@ STAGE = {
     "r11_flood.cpp": "src/milback/fix/r11_flood.cpp",
     "r11_clean.cpp": "src/milback/fix/r11_clean.cpp",
     "r11_mesh_ok.cpp": "src/milback/mesh/r11_mesh_ok.cpp",
+    "r12_upward.hpp": "src/milback/core/r12_upward.hpp",
+    "r12_clean.hpp": "src/milback/core/r12_clean.hpp",
 }
 
 
