@@ -18,7 +18,7 @@
 #include "milback/ap/orientation_sensor.hpp"
 #include "milback/ap/uplink_receiver.hpp"
 #include "milback/core/link.hpp"
-#include "milback/dsp/fft.hpp"
+#include "milback/dsp/fft_plan.hpp"
 #include "milback/mesh/neighbor_table.hpp"
 #include "milback/mesh/routing.hpp"
 #include "milback/obs/registry.hpp"
@@ -39,7 +39,8 @@ void BM_Fft1024(benchmark::State& state) {
   std::vector<dsp::cplx> x(1024);
   for (auto& v : x) v = rng.complex_gaussian(1.0);
   for (auto _ : state) {
-    auto y = dsp::fft(x);
+    auto y = x;
+    dsp::fft_plan(1024).forward(y);
     benchmark::DoNotOptimize(y);
   }
 }

@@ -46,6 +46,10 @@ Rules:
       and milback_cell links core and mesh on top of it; an include from
       core into either layer needs a link edge back up, the dependency
       cycle that once forced the cell sources into milback_core.
+  R13 orphan header: every src/milback/**/*.hpp must be included by some
+      file under src/, bench/, examples/ or scenario_bench/ other than its
+      own .cpp -- a header that only tests (or nobody) include is code no
+      production path reads.
 
 Exit status is non-zero when any violation is found.
 """
@@ -130,6 +134,12 @@ MESH_LOOP_ALLOWED_PREFIX = "src/milback/mesh/"
 # R12: an upward include from core into the layers built on top of it.
 UPWARD_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]milback/(?:cell|mesh)/')
 UPWARD_INCLUDE_SCOPE = "src/milback/core/"
+
+# R13: headers production code must reach, and the trees that count as
+# production includers (tests/ does not).
+MILBACK_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](milback/[^>"]+)[>"]')
+ORPHAN_SCOPE = "src/milback/"
+USER_DIRS = ("src", "bench", "examples", "scenario_bench")
 
 COMMENT_LINE = re.compile(r"^\s*(?://|\*|/\*)")
 
@@ -248,6 +258,35 @@ def lint_file(root: Path, path: Path, errors: list[str]) -> None:
                     )
 
 
+def lint_orphan_headers(root: Path, errors: list[str]) -> None:
+    """R13: flags src/milback headers no production file includes."""
+    users: dict[str, set[str]] = {}
+    for d in USER_DIRS:
+        base = root / d
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in CPP_EXTS or not path.is_file():
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for line in text.splitlines():
+                m = MILBACK_INCLUDE.match(line)
+                if m:
+                    users.setdefault("src/" + m.group(1), set()).add(rel)
+    base = root / ORPHAN_SCOPE
+    if not base.is_dir():
+        return
+    for path in sorted(base.rglob("*.hpp")):
+        rel = path.relative_to(root).as_posix()
+        own_cpp = rel[: -len(".hpp")] + ".cpp"
+        if not users.get(rel, set()) - {rel, own_cpp}:
+            errors.append(
+                f"{rel}:1: [R13] orphan header -- nothing under src/, bench/,"
+                " examples/ or scenario_bench/ includes it but its own .cpp"
+            )
+
+
 RULES = (
     ("R1", "raw std RNG engine/distribution outside util/rng -- use milback::Rng"),
     ("R2", "`using namespace` in a header"),
@@ -261,6 +300,7 @@ RULES = (
     ("R10", "ad-hoc 20*log10(distance) FSPL outside src/milback/channel/"),
     ("R11", "ad-hoc TTL/flood/neighbor relay loop outside src/milback/mesh/"),
     ("R12", "src/milback/core/ including milback/cell/ or milback/mesh/"),
+    ("R13", "src/milback header no production file includes (tests alone do not count)"),
 )
 
 
@@ -290,6 +330,7 @@ def main() -> int:
             if path.suffix in CPP_EXTS and path.is_file():
                 n_files += 1
                 lint_file(root, path, errors)
+    lint_orphan_headers(root, errors)
     for e in errors:
         print(e)
     print(f"physics_lint: {n_files} files scanned, {len(errors)} violation(s)")

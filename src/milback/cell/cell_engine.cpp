@@ -23,6 +23,29 @@ constexpr obs::HistogramSpec kRateSpec{1e3, 1.5, 40};         // 1 kbps .. ~10 G
 constexpr obs::HistogramSpec kSnrSpec{0.25, 1.15, 50};        // 0.25 .. ~270 dB
 constexpr obs::HistogramSpec kPopulationSpec{1.0, 1.3, 40};   // 1 .. ~36k nodes
 
+// SDM sweep period: one visit to every slot, each slot lasting as long as
+// its slowest member's uplink packet. `slots` index into `alive`; members
+// at rate 0 take no air time.
+double sdm_period_s(const std::vector<std::vector<std::size_t>>& slots,
+                    const std::vector<std::size_t>& alive,
+                    const std::vector<double>& rate_bps, std::size_t payload_symbols) {
+  double period_s = 0.0;
+  for (const auto& slot : slots) {
+    double slot_time_s = 0.0;
+    for (const auto k : slot) {
+      const double rate = rate_bps[alive[k]];
+      if (rate <= 0.0) continue;
+      const auto timing = core::compute_timing(
+          core::PacketConfig{.preamble = {}, .payload_symbols = payload_symbols},
+          core::LinkDirection::kUplink, rate / 2.0);
+      slot_time_s = std::max(slot_time_s, timing.total_s);
+    }
+    // milback-analyze: no-reduction(serial loop in deterministic slot-major order; single thread by construction)
+    period_s += slot_time_s;
+  }
+  return period_s;
+}
+
 }  // namespace
 
 // Cell-wide metric handles, interned once per label. A standalone engine
@@ -349,23 +372,10 @@ void CellEngine::dispatch_service(const Event& e) {
   for (const auto i : alive) poses.push_back(nodes_.pose[i]);
   const auto slots =
       sdm_partition(poses, config_.network.sdm_min_separation_deg);
-  double derived_period_s = 0.0;
-  for (const auto& slot : slots) {
-    double slot_time_s = 0.0;
-    for (const auto k : slot) {
-      const double rate_bps = nodes_.rate_bps[alive[k]];
-      if (rate_bps <= 0.0) continue;
-      const auto timing = core::compute_timing(
-          core::PacketConfig{.preamble = {},
-                             .payload_symbols = config_.payload_symbols},
-          core::LinkDirection::kUplink, rate_bps / 2.0);
-      slot_time_s = std::max(slot_time_s, timing.total_s);
-    }
-    // milback-analyze: no-reduction(serial event-handler loop in deterministic slot-major order; single thread by construction)
-    derived_period_s += slot_time_s;
-  }
   const double period_s =
-      config_.service_period_s > 0.0 ? config_.service_period_s : derived_period_s;
+      config_.service_period_s > 0.0
+          ? config_.service_period_s
+          : sdm_period_s(slots, alive, nodes_.rate_bps, config_.payload_symbols);
   if (period_s <= 0.0) return;  // nobody servable; churn re-wakes the sweep
 
   const std::size_t round = report_.service_rounds;
@@ -560,22 +570,8 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
           probe_service_rate_bps(link_.channel(), nodes_.pose[i], config_.rate);
       poses.push_back(nodes_.pose[i]);
     }
-    const auto slots =
-        sdm_partition(poses, config_.network.sdm_min_separation_deg);
-    for (const auto& slot : slots) {
-      double slot_time_s = 0.0;
-      for (const auto k : slot) {
-        const double rate_bps = nodes_.rate_bps[alive[k]];
-        if (rate_bps <= 0.0) continue;
-        const auto timing = core::compute_timing(
-            core::PacketConfig{.preamble = {},
-                               .payload_symbols = config_.payload_symbols},
-            core::LinkDirection::kUplink, rate_bps / 2.0);
-        slot_time_s = std::max(slot_time_s, timing.total_s);
-      }
-  // milback-analyze: no-reduction(serial event-handler loop in deterministic slot-major order; single thread by construction)
-      hint_s += slot_time_s;
-    }
+    hint_s += sdm_period_s(sdm_partition(poses, config_.network.sdm_min_separation_deg),
+                           alive, nodes_.rate_bps, config_.payload_symbols);
   }
   if (hint_s > 0.0) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {

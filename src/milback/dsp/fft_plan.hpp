@@ -1,19 +1,19 @@
-// Planned radix-2 FFT: precomputed bit-reversal permutation and per-stage
-// twiddle tables, executed in place on caller-owned buffers with zero
-// per-call allocation.
+// The one FFT surface: a planned radix-2 transform (own implementation, no
+// external DSP dependency) with a precomputed bit-reversal permutation and
+// per-stage twiddle tables, executed in place on caller-owned buffers with
+// zero per-call allocation.
 //
-// Why a plan layer: the AP digests a 5 x 18 us Field-2 burst (10 range FFTs)
-// per localization, and the Monte-Carlo sweeps run thousands of trials per
-// figure — the legacy `dsp::fft` recomputed every twiddle factor with a
-// complex multiply per butterfly and allocated a fresh output vector per
-// call. A plan amortizes all of that setup across the run.
+// The AP's localization pipeline takes per-chirp FFTs of the dechirped beat
+// signal (Section 5 of the paper), 10 range FFTs per 5 x 18 us Field-2
+// burst, and the Monte-Carlo sweeps run thousands of trials per figure; a
+// plan amortizes all trigonometry across the run. The orientation-at-AP
+// profiler uses the inverse to go back to the "reflection power vs chirp
+// frequency" domain.
 //
-// Accuracy policy: the twiddle tables are generated with the *same*
-// `w *= wlen` recurrence the legacy loop evaluated on the fly, so planned
-// transforms are bit-identical to the textbook iterative Cooley-Tukey
-// reference (tests/dsp/test_fft_plan.cpp pins this). The real-input
-// transform uses the half-size complex trick and is equivalent to the full
-// complex transform only up to rounding (~1e-12 relative).
+// Accuracy policy: the twiddle tables are generated with the `w *= wlen`
+// recurrence of the textbook iterative Cooley-Tukey loop, so planned
+// transforms are bit-identical to that reference
+// (tests/dsp/test_fft_plan.cpp pins this).
 #pragma once
 
 #include <complex>
@@ -24,6 +24,16 @@
 namespace milback::dsp {
 
 using cplx = std::complex<double>;
+
+/// Smallest power of two >= n (n <= 2^62; throws ContractViolation above).
+/// next_pow2(0) == 1.
+std::size_t next_pow2(std::size_t n);
+
+/// True if n is a nonzero power of two.
+bool is_pow2(std::size_t n) noexcept;
+
+/// |X[k]| for each bin.
+std::vector<double> magnitude_spectrum(const std::vector<cplx>& spectrum);
 
 /// A reusable transform plan for one power-of-two size.
 ///
@@ -49,13 +59,6 @@ class FftPlan {
   /// In-place inverse DFT with 1/N normalization.
   void inverse(cplx* x) const noexcept;
   void inverse(std::vector<cplx>& x) const;
-
-  /// Forward DFT of a real signal via the half-size complex trick: packs the
-  /// input into size()/2 complex samples, runs the half plan, and untangles
-  /// the spectrum into all `size()` bins of `out` (resized; conjugate
-  /// symmetric). `x.size()` must be <= size(); the tail is zero-padded.
-  /// Requires size() >= 2. Costs ~half of a full complex `forward`.
-  void forward_real(const std::vector<double>& x, std::vector<cplx>& out) const;
 
  private:
   void execute(cplx* x, const std::vector<cplx>& twiddle) const noexcept;

@@ -1,91 +1,10 @@
 #include "milback/dsp/fir.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "milback/core/contract.hpp"
-#include "milback/dsp/window.hpp"
 
 namespace milback::dsp {
-
-namespace {
-
-void check_taps(std::size_t taps) {
-  MILBACK_REQUIRE(taps >= 3 && taps % 2 == 1, "FIR design: taps must be odd and >= 3");
-}
-
-double sinc(double x) {
-  if (std::abs(x) < 1e-12) return 1.0;
-  return std::sin(std::numbers::pi * x) / (std::numbers::pi * x);
-}
-
-}  // namespace
-
-std::vector<double> design_lowpass(double fc, double fs, std::size_t taps) {
-  check_taps(taps);
-  MILBACK_REQUIRE(fc > 0.0 && fc < fs / 2.0, "design_lowpass: fc out of range");
-  const double norm = 2.0 * fc / fs;  // normalized cutoff in cycles/sample *2
-  const auto w = make_window(WindowType::kHamming, taps);
-  const auto mid = double(taps - 1) / 2.0;
-  std::vector<double> h(taps);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < taps; ++i) {
-    h[i] = norm * sinc(norm * (double(i) - mid)) * w[i];
-    sum += h[i];
-  }
-  // Normalize for unity DC gain.
-  for (auto& v : h) v /= sum;
-  return h;
-}
-
-std::vector<double> design_highpass(double fc, double fs, std::size_t taps) {
-  MILBACK_REQUIRE(0.0 < fc && fc < fs / 2.0, "design_highpass: require 0 < fc < fs/2");
-  auto h = design_lowpass(fc, fs, taps);
-  // Spectral inversion: delta - lowpass.
-  for (auto& v : h) v = -v;
-  h[(taps - 1) / 2] += 1.0;
-  return h;
-}
-
-std::vector<double> design_bandpass(double f_lo, double f_hi, double fs, std::size_t taps) {
-  MILBACK_REQUIRE(0.0 < f_lo && f_lo < f_hi && f_hi < fs / 2.0,
-                  "design_bandpass: require 0 < f_lo < f_hi < fs/2");
-  auto lp_hi = design_lowpass(f_hi, fs, taps);
-  auto lp_lo = design_lowpass(f_lo, fs, taps);
-  std::vector<double> h(taps);
-  for (std::size_t i = 0; i < taps; ++i) h[i] = lp_hi[i] - lp_lo[i];
-  return h;
-}
-
-namespace {
-
-template <typename T>
-std::vector<T> filter_same_impl(const std::vector<double>& h, const std::vector<T>& x) {
-  MILBACK_REQUIRE(!h.empty(), "filter_same: empty kernel");
-  const std::size_t delay = (h.size() - 1) / 2;
-  std::vector<T> y(x.size(), T{});
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    T acc{};
-    // y_aligned[n] = sum_k h[k] * x[n + delay - k]
-    for (std::size_t k = 0; k < h.size(); ++k) {
-      const std::ptrdiff_t idx = std::ptrdiff_t(n) + std::ptrdiff_t(delay) - std::ptrdiff_t(k);
-      if (idx >= 0 && idx < std::ptrdiff_t(x.size())) acc += h[k] * x[std::size_t(idx)];
-    }
-    y[n] = acc;
-  }
-  return y;
-}
-
-}  // namespace
-
-std::vector<double> filter_same(const std::vector<double>& h, const std::vector<double>& x) {
-  return filter_same_impl(h, x);
-}
-
-std::vector<std::complex<double>> filter_same(const std::vector<double>& h,
-                                              const std::vector<std::complex<double>>& x) {
-  return filter_same_impl(h, x);
-}
 
 OnePoleLowpass::OnePoleLowpass(double tau_samples) noexcept {
   alpha_ = tau_samples > 0.0 ? 1.0 - std::exp(-1.0 / tau_samples) : 1.0;

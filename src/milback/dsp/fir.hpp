@@ -1,34 +1,10 @@
-// Windowed-sinc FIR filter design and streaming filtering.
-//
-// The AP's receive chain implements its band-pass filter (ZFHP-0R50-S+ /
-// ZFHP-0R23-S+ in the paper's prototype) as a digital equivalent; the node's
-// envelope detector rise/fall behaviour is modelled as a single-pole IIR but
-// the decimation/anti-alias steps use these FIRs.
+// Single-pole low-pass IIR: the node's envelope-detector rise/fall
+// behaviour.
 #pragma once
 
-#include <complex>
-#include <cstddef>
 #include <vector>
 
 namespace milback::dsp {
-
-/// Designs a low-pass FIR with cutoff `fc` (Hz) at sample rate `fs` using a
-/// Hamming-windowed sinc. `taps` must be odd and >= 3 (throws otherwise).
-std::vector<double> design_lowpass(double fc, double fs, std::size_t taps);
-
-/// Designs a high-pass FIR (spectral inversion of the low-pass).
-std::vector<double> design_highpass(double fc, double fs, std::size_t taps);
-
-/// Designs a band-pass FIR passing [f_lo, f_hi].
-std::vector<double> design_bandpass(double f_lo, double f_hi, double fs, std::size_t taps);
-
-/// Zero-phase-ish convolution: returns y[n] = sum_k h[k] x[n-k] with the
-/// group delay removed (output aligned to input, same length).
-std::vector<double> filter_same(const std::vector<double>& h, const std::vector<double>& x);
-
-/// Complex-input version of filter_same.
-std::vector<std::complex<double>> filter_same(const std::vector<double>& h,
-                                              const std::vector<std::complex<double>>& x);
 
 /// Single-pole low-pass IIR: models RC-limited rise/fall time of envelope
 /// detectors and switches. `tau_samples` is the time constant in samples.

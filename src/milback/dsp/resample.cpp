@@ -1,47 +1,10 @@
 #include "milback/dsp/resample.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "milback/core/contract.hpp"
-#include "milback/dsp/fir.hpp"
 
 namespace milback::dsp {
-
-std::vector<double> decimate(const std::vector<double>& x, std::size_t factor) {
-  require_nonzero(factor, "decimate factor");
-  if (factor == 1 || x.size() < 8) return downsample(x, factor);
-  // Anti-alias at 0.45 of the output Nyquist.
-  const double fs = 1.0;  // normalized
-  const double fc = 0.45 / double(factor) * (fs / 2.0) * 2.0;  // = 0.45/factor cycles/sample
-  const std::size_t taps = std::min<std::size_t>(101, (x.size() / 2) * 2 - 1);
-  auto h = design_lowpass(fc, fs, std::max<std::size_t>(taps, 3));
-  auto filtered = filter_same(h, x);
-  return downsample(filtered, factor);
-}
-
-std::vector<double> downsample(const std::vector<double>& x, std::size_t factor) {
-  require_nonzero(factor, "downsample factor");
-  std::vector<double> y;
-  y.reserve(x.size() / factor + 1);
-  for (std::size_t i = 0; i < x.size(); i += factor) y.push_back(x[i]);
-  return y;
-}
-
-// milback-analyze: no-contract(degenerate inputs -- empty x or zero out_len -- are defined to return empty)
-std::vector<double> resample_linear(const std::vector<double>& x, std::size_t out_len) {
-  if (out_len == 0 || x.empty()) return {};
-  if (x.size() == 1) return std::vector<double>(out_len, x[0]);
-  std::vector<double> y(out_len);
-  const double scale = double(x.size() - 1) / double(out_len > 1 ? out_len - 1 : 1);
-  for (std::size_t i = 0; i < out_len; ++i) {
-    const double pos = double(i) * scale;
-    const auto lo = std::min<std::size_t>(std::size_t(pos), x.size() - 2);
-    const double frac = pos - double(lo);
-    y[i] = x[lo] * (1.0 - frac) + x[lo + 1] * frac;
-  }
-  return y;
-}
 
 std::vector<double> moving_average(const std::vector<double>& x, std::size_t window) {
   require_nonzero(window, "moving_average window");

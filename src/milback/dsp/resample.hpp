@@ -1,23 +1,11 @@
-// Rate conversion. The node's MCU samples the envelope-detector output at
-// 1 MS/s while the detector itself is simulated at the waveform rate; the
-// decimator (with anti-alias prefilter) models that ADC boundary.
+// Smoothing of sampled envelopes (the orientation-at-AP profiler's
+// reflection-power trace).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace milback::dsp {
-
-/// Keeps every `factor`-th sample after an anti-alias low-pass. factor == 1
-/// is a copy; factor == 0 throws std::invalid_argument.
-std::vector<double> decimate(const std::vector<double>& x, std::size_t factor);
-
-/// Plain downsample without filtering (for already-smooth envelopes).
-std::vector<double> downsample(const std::vector<double>& x, std::size_t factor);
-
-/// Linear-interpolation resample of `x` to exactly `out_len` samples spanning
-/// the same time extent.
-std::vector<double> resample_linear(const std::vector<double>& x, std::size_t out_len);
 
 /// Centered moving average of width `window` (window == 0 throws; width is
 /// clamped at the edges).

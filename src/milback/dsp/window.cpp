@@ -45,11 +45,6 @@ std::vector<double> make_window(WindowType type, std::size_t n) {
   return w;
 }
 
-void apply_window(std::vector<double>& x, const std::vector<double>& w) {
-  MILBACK_REQUIRE(x.size() == w.size(), "apply_window: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= w[i];
-}
-
 // milback-analyze: no-contract(total over any window; empty input is defined to return 0)
 double coherent_gain(const std::vector<double>& w) noexcept {
   if (w.empty()) return 0.0;

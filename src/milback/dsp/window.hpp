@@ -20,10 +20,6 @@ enum class WindowType {
 /// Generates the length-`n` window. n == 0 yields an empty vector.
 std::vector<double> make_window(WindowType type, std::size_t n);
 
-/// Multiplies `x` elementwise by the window (sizes must match; throws
-/// std::invalid_argument otherwise).
-void apply_window(std::vector<double>& x, const std::vector<double>& w);
-
 /// Coherent gain of a window: sum(w)/n. Used to renormalize peak amplitudes.
 double coherent_gain(const std::vector<double>& w) noexcept;
 

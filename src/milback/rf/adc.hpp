@@ -1,6 +1,4 @@
-// ADC model. Two instances exist in the system:
-//   * the AP's scope front end (DSOX3102G stand-in): high rate, 8-10 bits;
-//   * the node MCU's ADC (MSP430 stand-in): 1 MS/s, 12 bits.
+// ADC model of the node MCU's converter (MSP430 stand-in: 1 MS/s, 12 bits).
 // The model applies sampling-rate decimation, full-scale clipping and
 // uniform quantization.
 #pragma once
@@ -25,8 +23,9 @@ class Adc {
   /// non-positive rate/full-scale).
   explicit Adc(const AdcConfig& config);
 
-  /// Quantizes one voltage to the nearest code's voltage (clips at range).
-  double quantize(double v) const noexcept;
+  /// Quantizes one voltage to the nearest code's voltage (clips at range;
+  /// throws ContractViolation on a non-finite input).
+  double quantize(double v) const;
 
   /// Samples a waveform given at `input_rate_hz` down to the ADC rate
   /// (nearest-sample decimation; input rate must be >= ADC rate) and

@@ -22,11 +22,12 @@ class HornAntenna {
   /// std::invalid_argument on non-positive beamwidth).
   explicit HornAntenna(const HornAntennaConfig& config);
 
-  /// Gain [dBi] at `offset_deg` from boresight.
-  double gain_dbi(double offset_deg) const noexcept;
+  /// Gain [dBi] at `offset_deg` from boresight (throws ContractViolation
+  /// on a non-finite offset).
+  double gain_dbi(double offset_deg) const;
 
   /// Linear power gain at `offset_deg` from boresight.
-  double gain_linear(double offset_deg) const noexcept;
+  double gain_linear(double offset_deg) const;
 
   /// Config echo.
   const HornAntennaConfig& config() const noexcept { return config_; }

@@ -11,10 +11,9 @@
 #include "milback/antenna/fsa.hpp"
 #include "milback/core/contract.hpp"
 #include "milback/core/link.hpp"
-#include "milback/dsp/fft.hpp"
-#include "milback/dsp/fir.hpp"
+#include "milback/dsp/fft_plan.hpp"
+#include "milback/dsp/resample.hpp"
 #include "milback/radar/cfar.hpp"
-#include "milback/rf/waveform.hpp"
 
 namespace milback {
 namespace {
@@ -131,19 +130,6 @@ TEST(DomainGuards, MessageNamesQuantityAndValue) {
 
 // --- subsystem entry points reject invalid configs --------------------------
 
-TEST(SubsystemContracts, WaveformGeneratorRejectsEmptyBand) {
-  rf::WaveformGeneratorConfig cfg;
-  cfg.min_frequency_hz = 29.5e9;
-  cfg.max_frequency_hz = 26.5e9;  // inverted band
-  EXPECT_THROW(rf::WaveformGenerator{cfg}, ContractViolation);
-}
-
-TEST(SubsystemContracts, WaveformGeneratorRejectsNegativeSegmentBandwidth) {
-  rf::WaveformGeneratorConfig cfg;
-  cfg.max_segment_bandwidth_hz = -2e9;
-  EXPECT_THROW(rf::WaveformGenerator{cfg}, ContractViolation);
-}
-
 TEST(SubsystemContracts, FsaRejectsDegenerateGeometry) {
   antenna::FsaConfig cfg;
   cfg.n_elements = 1;  // an array needs >= 2 elements
@@ -170,14 +156,14 @@ TEST(SubsystemContracts, CfarRejectsDegenerateWindow) {
 }
 
 TEST(SubsystemContracts, DspRejectsMalformedInput) {
-  // fft() pads to a power of two; the strict size contract is on the
-  // in-place transform.
-  std::vector<dsp::cplx> empty;
-  EXPECT_THROW(dsp::fft_inplace(empty), ContractViolation);
+  // The planned transform has a strict power-of-two size contract, and the
+  // checked overloads reject buffers that do not match the plan.
+  EXPECT_THROW(dsp::fft_plan(0), ContractViolation);
+  EXPECT_THROW(dsp::fft_plan(12), ContractViolation);
   std::vector<dsp::cplx> not_pow2(12);
-  EXPECT_THROW(dsp::fft_inplace(not_pow2), ContractViolation);
-  EXPECT_THROW(dsp::design_lowpass(0.9, 1.0, 31), ContractViolation);  // fc >= fs/2
-  EXPECT_THROW(dsp::design_lowpass(0.1, 1.0, 4), ContractViolation);   // even taps
+  EXPECT_THROW(dsp::fft_plan(16).forward(not_pow2), ContractViolation);
+  EXPECT_THROW(dsp::fft_plan(16).inverse(not_pow2), ContractViolation);
+  EXPECT_THROW(dsp::moving_average({1.0}, 0), ContractViolation);
 }
 
 TEST(SubsystemContracts, LocalizeRejectsNonPhysicalPose) {

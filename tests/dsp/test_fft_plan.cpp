@@ -9,7 +9,6 @@
 #include <numbers>
 #include <vector>
 
-#include "milback/dsp/fft.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/util/rng.hpp"
 
@@ -94,29 +93,6 @@ TEST(FftPlan, InverseRoundTrip) {
   }
 }
 
-TEST(FftPlan, ForwardRealMatchesComplexTransform) {
-  for (const std::size_t n : {2u, 4u, 8u, 64u, 256u, 1024u}) {
-    Rng rng{unsigned(n)};
-    std::vector<double> x(n);
-    for (auto& v : x) v = rng.gaussian();
-
-    std::vector<cplx> via_complex(n);
-    for (std::size_t i = 0; i < n; ++i) via_complex[i] = {x[i], 0.0};
-    fft_plan(n).forward(via_complex.data());
-
-    std::vector<cplx> via_real;
-    fft_plan(n).forward_real(x, via_real);
-
-    ASSERT_EQ(via_real.size(), n);
-    double scale = 0.0;
-    for (const auto& v : via_complex) scale = std::max(scale, std::abs(v));
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(std::abs(via_real[k] - via_complex[k]), 0.0, 1e-12 * scale)
-          << "n=" << n << " bin " << k;
-    }
-  }
-}
-
 TEST(FftPlan, CacheReturnsSharedInstance) {
   const FftPlan& a = fft_plan(1024);
   const FftPlan& b = fft_plan(1024);
@@ -135,18 +111,6 @@ TEST(FftPlan, CheckedOverloadRejectsSizeMismatch) {
   std::vector<cplx> x(8, cplx{1.0, 0.0});
   EXPECT_THROW(fft_plan(16).forward(x), std::invalid_argument);
   EXPECT_THROW(fft_plan(16).inverse(x), std::invalid_argument);
-}
-
-TEST(FftPlan, PublicFftDelegatesToPlan) {
-  // dsp::fft and the plan must agree bit-for-bit (fft is now a thin wrapper).
-  const auto x = random_signal(256, 9);
-  auto direct = x;
-  fft_plan(x.size()).forward(direct.data());
-  const auto via_fft = fft(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(via_fft[i].real(), direct[i].real());
-    EXPECT_EQ(via_fft[i].imag(), direct[i].imag());
-  }
 }
 
 }  // namespace

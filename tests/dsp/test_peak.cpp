@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "milback/core/contract.hpp"
 #include "milback/dsp/peak.hpp"
 
 namespace milback::dsp {
@@ -31,6 +32,14 @@ TEST(Peak, InterpolationClampedToHalfBin) {
   const auto p = interpolate_peak(x, 1);
   EXPECT_GE(p.index, 0.5);
   EXPECT_LE(p.index, 1.5);
+}
+
+TEST(Peak, InterpolateOutOfRangeIndexRaisesContractViolation) {
+  const std::vector<double> x{0.0, 1.0, 0.0};
+  EXPECT_THROW(interpolate_peak(x, 3), ContractViolation);
+  EXPECT_THROW(interpolate_peak(x, 100), ContractViolation);
+  // Empty input stays defined: no index can be out of range.
+  EXPECT_DOUBLE_EQ(interpolate_peak({}, 5).value, 0.0);
 }
 
 TEST(Peak, EdgePeaksNotInterpolated) {

@@ -51,19 +51,6 @@ TEST(Window, DegenerateSizes) {
   EXPECT_DOUBLE_EQ(w1[0], 1.0);
 }
 
-TEST(Window, ApplyMultiplies) {
-  std::vector<double> x{2.0, 2.0, 2.0};
-  apply_window(x, {0.5, 1.0, 0.25});
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
-  EXPECT_DOUBLE_EQ(x[2], 0.5);
-}
-
-TEST(Window, ApplyRejectsMismatch) {
-  std::vector<double> x{1.0, 2.0};
-  EXPECT_THROW(apply_window(x, {1.0}), std::invalid_argument);
-}
-
 TEST(Window, CoherentGainKnownValues) {
   EXPECT_NEAR(coherent_gain(make_window(WindowType::kRectangular, 64)), 1.0, 1e-12);
   // Hann coherent gain -> 0.5 for large N.

@@ -16,7 +16,6 @@
 #include "milback/cell/sdm.hpp"
 #include "milback/core/link.hpp"
 #include "milback/core/round_types.hpp"
-#include "milback/dsp/fft.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/window.hpp"
 #include "milback/sim/sweep.hpp"

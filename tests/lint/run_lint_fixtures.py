@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Fixture suite for scripts/physics_lint.py rules R10, R11 and R12.
+"""Fixture suite for scripts/physics_lint.py rules R10 to R13.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the flagged ones,
 src/milback/channel/ and src/milback/mesh/ for the allowed-scope negative
-controls, src/milback/core/ for the layering pair), runs physics_lint on the
+controls, src/milback/core/ for the layering pair, bench/ for the R13
+includer that keeps the used headers clean), runs physics_lint on the
 staged tree, and asserts the reported findings match the `lint-expect: R<n>`
 markers exactly — same rule id, same staged file, same line — with nothing
 reported for the clean controls.
@@ -36,6 +37,9 @@ STAGE = {
     "r11_mesh_ok.cpp": "src/milback/mesh/r11_mesh_ok.cpp",
     "r12_upward.hpp": "src/milback/core/r12_upward.hpp",
     "r12_clean.hpp": "src/milback/core/r12_clean.hpp",
+    "r13_orphan.hpp": "src/milback/fix/r13_orphan.hpp",
+    "r13_used.hpp": "src/milback/fix/r13_used.hpp",
+    "r13_user.cpp": "bench/r13_user.cpp",
 }
 
 

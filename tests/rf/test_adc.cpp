@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "milback/core/contract.hpp"
 #include "milback/rf/adc.hpp"
 
 namespace milback::rf {
@@ -30,6 +32,12 @@ TEST(Adc, QuantizeRoundsToCode) {
   for (double v = 0.0; v < 2.56; v += 0.0173) {
     EXPECT_LE(std::abs(adc.quantize(v) - v), lsb / 2.0 + 1e-12);
   }
+}
+
+TEST(Adc, QuantizeNonFiniteRaisesContractViolation) {
+  Adc adc{AdcConfig{.sample_rate_hz = 1e6, .bits = 12, .full_scale_v = 3.3}};
+  EXPECT_THROW(adc.quantize(std::numeric_limits<double>::quiet_NaN()), ContractViolation);
+  EXPECT_THROW(adc.quantize(std::numeric_limits<double>::infinity()), ContractViolation);
 }
 
 TEST(Adc, ClipsAtRangeUnipolar) {
