@@ -6,8 +6,9 @@
 // switching on thin margin, and measured-BER backoff (the budget can be
 // fooled by clutter; delivered payloads cannot). The bench runs the walk as
 // a cell-engine scenario: the trajectory is a queue of move events, the
-// session is stepped by the engine's service sweeps, and every decision is
-// captured through the observer hook.
+// session is stepped by the engine's service sweeps, and the bench advances
+// the engine one sweep at a time and reads each decision from the node's
+// session (CellEngine::node_session(i).last_step()).
 #include "bench_common.hpp"
 
 #include <cmath>
@@ -66,15 +67,21 @@ int main(int argc, char** argv) {
   double delivered_total_bits = 0.0;
   std::size_t rounds_tracking = 0;
   const std::size_t payload_bits = cfg.session.payload_bits;
-  engine.set_observer([&](const cell::ServiceObservation& obs) {
-    const auto& step = obs.session;
-    const double d = walk_distance_m(obs.round);
+  // Sweep r runs at r * period; stepping to mid-period dispatches it (and
+  // nothing later), so last_step() is round r's decision. The walk ends
+  // when the engine has no sweep left to run.
+  engine.begin(double(kRounds) * kPeriodS, seed);
+  for (std::size_t r = 0; engine.pending_events() > 0; ++r) {
+    engine.advance_to((double(r) + 0.5) * kPeriodS);
+    const auto& step = engine.node_session(node).last_step();
+    const double d = walk_distance_m(r);
     if (step.state == core::SessionState::kTracking && step.uplink_rate_bps > 0.0) {
       ++rounds_tracking;
+      // milback-analyze: no-reduction(serial loop over sweeps in time order; single thread by construction)
       delivered_total_bits += double(payload_bits - step.payload_bit_errors);
     }
-    if (obs.round % 2 == 0) {
-      t.add_row({std::to_string(obs.round), Table::num(d, 1), state_name(step.state),
+    if (r % 2 == 0) {
+      t.add_row({std::to_string(r), Table::num(d, 1), state_name(step.state),
                  step.state == core::SessionState::kTracking ? Table::num(step.range_m, 2)
                                                              : "-",
                  step.uplink_rate_bps > 0 ? Table::num(step.budget_snr_db, 1) : "-",
@@ -84,12 +91,11 @@ int main(int argc, char** argv) {
                  step.fec_enabled ? "on" : "off", std::to_string(step.payload_bit_errors),
                  Table::num(step.delivered_data_bps / 1e6, 2)});
     }
-    csv.row({double(obs.round), d, step.range_m, step.budget_snr_db,
+    csv.row({double(r), d, step.range_m, step.budget_snr_db,
              step.uplink_rate_bps / 1e6, step.fec_enabled ? 1.0 : 0.0,
              step.delivered_data_bps / 1e6});
-  });
-
-  engine.run(double(kRounds) * kPeriodS, seed);
+  }
+  engine.finish();
   t.print(std::cout);
 
   std::cout << "\nSession summary: " << rounds_tracking << "/" << kRounds

@@ -3,9 +3,10 @@
 // The paper localizes static nodes; AR/VR (its motivating application) needs
 // a track. This bench runs a walking node as a cell-engine scenario: the
 // path is a queue of move events, each service sweep steps the node's
-// adaptive session, and the observer compares the per-round raw fix
-// (SessionStep::raw_range_m/raw_angle_deg) against the alpha-beta-smoothed
-// track — including coasting through missed detections.
+// adaptive session, and the bench advances the engine one sweep at a time,
+// comparing each round's raw fix (SessionStep::raw_range_m/raw_angle_deg,
+// read from CellEngine::node_session(i).last_step()) against the
+// alpha-beta-smoothed track — including coasting through missed detections.
 #include "bench_common.hpp"
 
 #include <cmath>
@@ -61,16 +62,20 @@ int main(int argc, char** argv) {
   CsvWriter csv(CsvWriter::env_dir(), "ext_tracking",
                 {"t_s", "raw_err_cm", "track_err_cm"});
 
-  engine.set_observer([&](const cell::ServiceObservation& obs) {
-    const auto& step = obs.session;
-    const std::size_t k = obs.round;
+  // Sweep k runs at k * dt; stepping to mid-period dispatches it (and
+  // nothing later), so last_step() is round k's fix. The walk ends
+  // when the engine has no sweep left to run.
+  engine.begin(double(kSteps) * kDtS, seed);
+  for (std::size_t k = 0; engine.pending_events() > 0; ++k) {
+    engine.advance_to((double(k) + 0.5) * kDtS);
+    const auto& step = engine.node_session(node).last_step();
     const double ts = double(k) * kDtS;
     double x = 0.0, y = 0.0;
     walk_xy(k, x, y);
 
     if (!step.localized) {
       ++misses;
-      return;
+      continue;
     }
     const double fx = step.raw_range_m * std::cos(deg2rad(step.raw_angle_deg));
     const double fy = step.raw_range_m * std::sin(deg2rad(step.raw_angle_deg));
@@ -89,9 +94,8 @@ int main(int argc, char** argv) {
                  Table::num(smooth * 100, 1), Table::num(step.speed_mps, 2)});
     }
     csv.row({ts, raw * 100, smooth * 100});
-  });
-
-  engine.run(double(kSteps) * kDtS, seed);
+  }
+  engine.finish();
   t.print(std::cout);
 
   std::cout << "\nSummary over " << raw_errs.size() << " post-warm-up fixes ("

@@ -19,8 +19,9 @@
 // engine" track shows one span per service sweep (width = simulated air
 // time) with the forklift blockage episode as a long span on its own lane;
 // timestamps are simulated shift seconds, not wall clock, so the trace is
-// identical on every run. out/metrics.jsonl carries per-tag latency/SNR
-// histograms (p50/p95) and event counts for the same shift.
+// identical on every run. out/metrics.jsonl carries the cell-wide
+// latency/rate/population histograms (p50/p95) and event counts for the
+// same shift; per-tag latency p50/p95 is in the printed shift report.
 #include <iostream>
 #include <string>
 #include <vector>

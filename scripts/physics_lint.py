@@ -50,6 +50,11 @@ Rules:
       file under src/, bench/, examples/ or scenario_bench/ other than its
       own .cpp -- a header that only tests (or nobody) include is code no
       production path reads.
+  R14 bounded metric names: in src/, the name passed to a registry's
+      counter()/gauge()/histogram()/trace_name() is a string literal or
+      `<label> + "<literal>"` -- a name built from a per-node id interns
+      one metric family per node, unbounded at fleet scale; per-node facts
+      belong in the run report.
 
 Exit status is non-zero when any violation is found.
 """
@@ -140,6 +145,11 @@ UPWARD_INCLUDE_SCOPE = "src/milback/core/"
 MILBACK_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](milback/[^>"]+)[>"]')
 ORPHAN_SCOPE = "src/milback/"
 USER_DIRS = ("src", "bench", "examples", "scenario_bench")
+
+# R14: a registry registration call and the two name shapes it may take
+# (matched on the string-stripped line, where every literal reads `""`).
+METRIC_CALL = re.compile(r"(?:\.|->)\s*(?:counter|gauge|histogram|trace_name)\s*\(")
+BOUNDED_NAME = re.compile(r'\s*(?:[A-Za-z_]\w*\s*\+\s*)?""\s*[,)]')
 
 COMMENT_LINE = re.compile(r"^\s*(?://|\*|/\*)")
 
@@ -248,6 +258,18 @@ def lint_file(root: Path, path: Path, errors: list[str]) -> None:
                         " (fspl_db / PathSet)"
                     )
 
+        if rel.startswith("src/"):
+            for m in METRIC_CALL.finditer(line):
+                arg = line[m.end():]
+                if not arg.strip() and i < len(lines):  # name on the next line
+                    arg = strip_strings(lines[i])
+                if not BOUNDED_NAME.match(arg):
+                    errors.append(
+                        f"{rel}:{i}: [R14] metric name is not a literal or"
+                        ' `<label> + "<literal>"` -- per-node facts belong in'
+                        " the report, not one metric family per node"
+                    )
+
         if is_public_header:
             for name in DOUBLE_DECL.findall(line):
                 name = name.rstrip("_")  # private members carry a trailing `_`
@@ -301,6 +323,7 @@ RULES = (
     ("R11", "ad-hoc TTL/flood/neighbor relay loop outside src/milback/mesh/"),
     ("R12", "src/milback/core/ including milback/cell/ or milback/mesh/"),
     ("R13", "src/milback header no production file includes (tests alone do not count)"),
+    ("R14", 'src/ metric name that is neither a literal nor `<label> + "<literal>"`'),
 )
 
 

@@ -5,21 +5,16 @@
 #include "milback/channel/propagation.hpp"
 #include "milback/core/contract.hpp"
 #include "milback/obs/registry.hpp"
-#include "milback/obs/span.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::ap {
 
 namespace {
 
-// Localization-pipeline telemetry. Spans live on the SAMPLE-INDEX timeline
-// (beat sample 0 .. n_chirps * samples_per_chirp), one subtrack per stage —
-// a deterministic clock, unlike wall time.
+// Localization-pipeline telemetry.
 struct LocObs {
   obs::Counter calls, detections, nlos_fallback;
   obs::Histogram detection_snr_db;
-  std::uint32_t synth_span = 0, fft_span = 0, subtract_span = 0, cfar_span = 0,
-                aoa_span = 0, nlos_span = 0;
 };
 
 const LocObs& loc_obs() {
@@ -31,14 +26,6 @@ const LocObs& loc_obs() {
     o.nlos_fallback = r.counter("loc.nlos_fallback");
     o.detection_snr_db =
         r.histogram("ap.detection_snr_db", obs::HistogramSpec{0.25, 1.15, 50});
-    o.synth_span = r.trace_name("ap.synthesize_burst");
-    o.fft_span = r.trace_name("ap.range_fft");
-    o.subtract_span = r.trace_name("ap.background_subtract");
-    o.cfar_span = r.trace_name("ap.cfar");
-    o.aoa_span = r.trace_name("ap.aoa");
-    // Spans carry no attributes, so the "nlos" tag is its own trace name:
-    // a fix is NLoS iff an ap.localize.nlos span encloses its aoa stage.
-    o.nlos_span = r.trace_name("ap.localize.nlos");
     return o;
   }();
   return instance;
@@ -265,9 +252,6 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
   }
 
   loc_obs().calls.add();
-  const double burst_samples =
-      double(radar::samples_per_chirp(config_.chirp, config_.beat_sample_rate_hz)) *
-      double(config_.n_chirps);
 
   // One full synthesize -> FFT -> subtract -> CFAR -> AoA pipeline pass.
   // The reflector-aware mode runs it twice: once steered at the node and,
@@ -281,14 +265,9 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
   };
   const auto run_pass = [&](double steer_deg, bool steer_amplitudes) {
     PassResult pass;
-    obs::Span synth_span(loc_obs().synth_span, 0.0,
-                         obs::trace_lane(obs::kLaneLocalizer, 0));
     const auto burst = synthesize_burst(channel, pose, states, slope_scale,
                                         steer_deg, rng, steer_amplitudes);
-    synth_span.end(burst_samples);
 
-    obs::Span fft_span(loc_obs().fft_span, 0.0,
-                       obs::trace_lane(obs::kLaneLocalizer, 1));
     std::vector<radar::RangeSpectrum> spectra0, spectra1;
     for (std::size_t i = 0; i < burst.rx0.size(); ++i) {
       spectra0.push_back(
@@ -298,19 +277,11 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
           radar::range_fft(burst.rx1[i], config_.beat_sample_rate_hz, config_.chirp,
                            config_.fft));
     }
-    fft_span.end(burst_samples);
 
-    obs::Span subtract_span(loc_obs().subtract_span, 0.0,
-                            obs::trace_lane(obs::kLaneLocalizer, 2));
     const auto sub0 = radar::background_subtract(spectra0);
     const auto sub1 = radar::background_subtract(spectra1);
-    subtract_span.end(burst_samples);
 
-    const double n_bins = double(sub0.first_difference.size());
-    obs::Span cfar_span(loc_obs().cfar_span, 0.0,
-                        obs::trace_lane(obs::kLaneLocalizer, 3));
     const auto det = radar::estimate_range(sub0, spectra0.front(), config_.range);
-    cfar_span.end(n_bins);
     if (!det) return pass;
 
     pass.detected = true;
@@ -320,11 +291,8 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
     // Angle: phase of the first difference spectrum at the detected bin.
     const auto bin = std::size_t(std::llround(det->bin));
     if (bin < sub0.first_difference.size() && bin < sub1.first_difference.size()) {
-      obs::Span aoa_span(loc_obs().aoa_span, double(bin),
-                         obs::trace_lane(obs::kLaneLocalizer, 4));
       pass.aoa_offset_deg = radar::estimate_offset_deg(
           sub0.first_difference[bin], sub1.first_difference[bin], config_.aoa);
-      aoa_span.end(double(bin + 1));
     }
     pass.angle_deg = steer_deg + pass.aoa_offset_deg.value_or(0.0);
     return pass;
@@ -382,10 +350,6 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
         const auto& wall =
             channel.multipath().walls[std::size_t(strongest->wall)];
         if (channel::nlos_unfold(wall, echo.range_m, bearing_deg, &nx, &ny)) {
-          // The "nlos" tag on this fix: a span on its own subtrack enclosing
-          // the burst (spans carry no attributes).
-          obs::Span nlos_span(loc_obs().nlos_span, 0.0,
-                              obs::trace_lane(obs::kLaneLocalizer, 5));
           result.detected = true;
           result.range_m = std::hypot(nx, ny);
           result.angle_deg = rad2deg(std::atan2(ny, nx));
@@ -395,7 +359,6 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
           result.nlos_fallback = true;
           result.reflector_wall = strongest->wall;
           loc_obs().nlos_fallback.add();
-          nlos_span.end(burst_samples);
         }
       }
     }

@@ -138,7 +138,6 @@ std::size_t CellEngine::add_node(std::string id, const core::TrafficSpec& spec,
   const NodeId nid = IdTable::global().intern(id);
   const std::size_t index =
       nodes_.add(nid, spec, std::max(join_time_s, 0.0), join_time_s <= 0.0);
-  register_node_metrics(index);
   if (join_time_s > 0.0) {
     queue_.push(Event{.time_s = join_time_s,
                       .priority = kPriorityChurn,
@@ -146,23 +145,6 @@ std::size_t CellEngine::add_node(std::string id, const core::TrafficSpec& spec,
                       .node = index});
   }
   return index;
-}
-
-void CellEngine::register_node_metrics(std::size_t i) {
-  // Per-node metric names are only built (and interned) when telemetry is
-  // live at registration; the handles stay inert otherwise. Names carry the
-  // node id, not the cell label: a node keeps its metrics across handoffs.
-  if (!obs::metrics_enabled()) return;
-  auto& r = obs::Registry::global();
-  // First live registration sizes the lazy handle columns (earlier rows get
-  // inert handles — they were added with telemetry off).
-  nodes_.obs_latency.resize(nodes_.size());
-  nodes_.obs_snr.resize(nodes_.size());
-  nodes_.obs_drops.resize(nodes_.size());
-  const std::string id(nodes_.id[i].view());
-  nodes_.obs_latency[i] = r.histogram("cell.node." + id + ".latency_s", kLatencySpec);
-  nodes_.obs_snr[i] = r.histogram("cell.node." + id + ".snr_db", kSnrSpec);
-  nodes_.obs_drops[i] = r.counter("cell.node." + id + ".sweeps_skipped");
 }
 
 void CellEngine::schedule_leave(std::size_t node, double time_s) {
@@ -213,6 +195,13 @@ bool CellEngine::node_alive(std::size_t i) const {
 double CellEngine::node_join_time_s(std::size_t i) const {
   MILBACK_REQUIRE(i < nodes_.size(), "node_join_time_s: index out of range");
   return nodes_.join_time_s[i];
+}
+
+const core::AdaptiveSession& CellEngine::node_session(std::size_t i) const {
+  MILBACK_REQUIRE(config_.run_sessions, "node_session: requires run_sessions");
+  MILBACK_REQUIRE(i < nodes_.session.size() && nodes_.session[i].has_value(),
+                  "node_session: no session for this node");
+  return *nodes_.session[i];
 }
 
 std::size_t CellEngine::population() const noexcept {
@@ -350,9 +339,6 @@ void CellEngine::dispatch_service(const Event& e) {
               : 0.0;
       if (steps[k].localized) {
         obs_->session_snr_db.record(steps[k].budget_snr_db);
-        if (!nodes_.obs_snr.empty()) {
-          nodes_.obs_snr[alive[k]].record(steps[k].budget_snr_db);
-        }
       }
     }
   } else {
@@ -378,7 +364,6 @@ void CellEngine::dispatch_service(const Event& e) {
           : sdm_period_s(slots, alive, nodes_.rate_bps, config_.payload_symbols);
   if (period_s <= 0.0) return;  // nobody servable; churn re-wakes the sweep
 
-  const std::size_t round = report_.service_rounds;
   report_.service_rounds += 1;
   obs_->sweeps.add();
   obs_->sweep_population.record(double(alive.size()));
@@ -387,7 +372,6 @@ void CellEngine::dispatch_service(const Event& e) {
       obs_->service_rate_bps.record(nodes_.rate_bps[i]);
     } else {
       obs_->sweeps_skipped_nodes.add();
-      if (!nodes_.obs_drops.empty()) nodes_.obs_drops[i].add();
     }
   }
   // The sweep span covers the service window [start, start + period] in sim
@@ -403,7 +387,6 @@ void CellEngine::dispatch_service(const Event& e) {
   report_.cell_capacity_bps = capacity_bps;
 
   // Drain: one packet per reachable node per sweep, slot-major.
-  std::vector<double> drained(alive.size(), 0.0);
   const double service_done_s = e.time_s + period_s;
   for (const auto& slot : slots) {
     for (const auto k : slot) {
@@ -422,12 +405,10 @@ void CellEngine::dispatch_service(const Event& e) {
         nodes_.queued_bits[i] -= take;
         // milback-analyze: no-reduction(serial FIFO drain in deterministic queue order; single thread by construction)
         nodes_.delivered_bits[i] += take;
-        drained[k] += take;
         if (chunk.bits <= 1e-9) {
           const double latency_s = service_done_s - chunk.arrival_s;
           nodes_.push_latency(i, latency_s);
           obs_->latency_s.record(latency_s);
-          if (!nodes_.obs_latency.empty()) nodes_.obs_latency[i].record(latency_s);
           nodes_.pop_front_chunk(i);
         }
       }
@@ -435,25 +416,6 @@ void CellEngine::dispatch_service(const Event& e) {
   }
   if (mesh_) mesh_sweep(e, alive, service_done_s);
   sweep_span.end(service_done_s);
-
-  if (observer_) {
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      const std::size_t i = alive[k];
-      ServiceObservation obs;
-      obs.time_s = e.time_s;
-      obs.round = round;
-      obs.node = i;
-      obs.id = nodes_.id[i];
-      obs.rate_bps = nodes_.rate_bps[i];
-      obs.drained_bits = drained[k];
-      obs.queued_bits = nodes_.queued_bits[i];
-      if (config_.run_sessions) {
-        obs.has_session = true;
-        obs.session = steps[k];
-      }
-      observer_(obs);
-    }
-  }
 
   // Next sweep and its arrivals (current-period estimate for the window).
   if (service_done_s < duration_s_) {
@@ -532,9 +494,6 @@ void CellEngine::mesh_sweep(const Event& e,
       const double latency_s = service_done_s - d.arrival_s;
       nodes_.push_latency(d.origin, latency_s);
       obs_->latency_s.record(latency_s);
-      if (!nodes_.obs_latency.empty()) {
-        nodes_.obs_latency[d.origin].record(latency_s);
-      }
     }
   }
 }
@@ -725,7 +684,6 @@ std::size_t CellEngine::attach_node(const CarriedNode& carried, double time_s) {
   MILBACK_REQUIRE(carried.id.valid(), "attach_node: carried id must be interned");
   require_finite(time_s, "time_s");
   const std::size_t index = nodes_.add(carried.id, carried.spec, time_s, true);
-  register_node_metrics(index);
   ensure_session(index);
   for (const auto& c : carried.backlog) {
     nodes_.push_chunk(index, c.bits, c.arrival_s);

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,19 +81,6 @@ struct CellConfig {
                                       ///< is across cells, not within one.
 };
 
-/// One node's slice of one service sweep, handed to the observer.
-struct ServiceObservation {
-  double time_s = 0.0;          ///< Sweep start time.
-  std::size_t round = 0;        ///< 0-based service-sweep index.
-  std::size_t node = 0;         ///< Node index (engine-wide, stable).
-  NodeId id{};                  ///< Interned node identifier (id.view() for text).
-  double rate_bps = 0.0;        ///< Service rate chosen this sweep (0 = skipped).
-  double drained_bits = 0.0;    ///< Queue bits drained this sweep.
-  double queued_bits = 0.0;     ///< Backlog after the sweep.
-  bool has_session = false;     ///< Whether `session` is meaningful.
-  core::SessionStep session{};  ///< The node's session round (run_sessions).
-};
-
 /// Per-node outcome of a run.
 struct CellNodeReport {
   NodeId id{};                     ///< Interned identifier (id.view() for text).
@@ -140,9 +126,6 @@ struct CarriedNode {
 /// The discrete-event cell.
 class CellEngine {
  public:
-  /// Called once per alive node per service sweep, in node-index order.
-  using ServiceObserver = std::function<void(const ServiceObservation&)>;
-
   /// Builds the engine over a channel.
   CellEngine(channel::BackscatterChannel channel, CellConfig config = {});
 
@@ -186,9 +169,6 @@ class CellEngine {
   /// anchor-fused or radar positions). Without one the engine never touches
   /// the mesh layer and runs bit-identically to the pre-mesh build.
   void set_mesh(mesh::MeshConfig config);
-
-  /// Installs the per-service observer (benches tap per-sweep detail here).
-  void set_observer(ServiceObserver observer) { observer_ = std::move(observer); }
 
   /// Runs `duration_s` of cell time. Single-shot: a CellEngine instance
   /// runs once (build a fresh engine per trial). The report is a pure
@@ -247,6 +227,10 @@ class CellEngine {
   /// When node `i` joins (epoch drivers distinguish "not joined yet" from
   /// "left" for rows their cell reports as not alive).
   double node_join_time_s(std::size_t i) const;
+  /// Node `i`'s adaptive session (run_sessions mode). Between advance_to
+  /// calls its last_step() is the round the latest service sweep ran for
+  /// the node. Requires run_sessions and a node that has joined.
+  const core::AdaptiveSession& node_session(std::size_t i) const;
   /// Nodes currently alive.
   std::size_t population() const noexcept;
   /// Pending events (epoch drivers use this to detect an idle cell).
@@ -264,7 +248,6 @@ class CellEngine {
   /// Per-event randomness: (seed, node, seq), widened with the cell index
   /// when sharded. The stream is pure — identical at any worker count.
   Rng event_stream(std::uint64_t node, std::uint64_t event_seq) const;
-  void register_node_metrics(std::size_t i);
   void dispatch(const Event& e);
   void dispatch_join(const Event& e);
   void dispatch_arrival(const Event& e);
@@ -280,7 +263,6 @@ class CellEngine {
   core::MilBackLink link_;
   NodeSoA nodes_;
   EventQueue queue_;
-  ServiceObserver observer_;
   const CellObs* obs_;       ///< Label-scoped cell-wide metric handles.
   bool service_scheduled_ = false;
   bool ran_ = false;

@@ -1,13 +1,11 @@
 // Interned node identifiers for the cell layer.
 //
-// PR 4's engine stored a `std::string id` per node, copied it into every
-// `ServiceObservation` (one per node per sweep) and again into every
-// `CellNodeReport`. At city scale that is a heap-owned string per node per
-// event — pure overhead, since ids are immutable once a node exists. This
-// table interns each distinct id string exactly once, process-wide, and
-// hands out a 4-byte `NodeId` handle; observations, reports and the SoA
-// node store carry the handle and resolve the text lazily through a
-// `std::string_view` into the table's stable storage.
+// A `std::string id` per node, copied into every `CellNodeReport`, is a
+// heap-owned string per node at city scale — pure overhead, since ids are
+// immutable once a node exists. This table interns each distinct id string
+// exactly once, process-wide, and hands out a 4-byte `NodeId` handle;
+// reports and the SoA node store carry the handle and resolve the text
+// lazily through a `std::string_view` into the table's stable storage.
 //
 // The table is append-only (ids are never removed — a retired node's id
 // stays valid in reports that outlive the engine) and guarded by a

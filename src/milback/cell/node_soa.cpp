@@ -25,9 +25,6 @@ std::size_t NodeSoA::add(NodeId node_id, const core::TrafficSpec& spec,
   peak_queue_bits.push_back(0.0);
   rounds_served.push_back(0);
   if (!session.empty()) session.emplace_back();
-  if (!obs_latency.empty()) obs_latency.emplace_back();
-  if (!obs_snr.empty()) obs_snr.emplace_back();
-  if (!obs_drops.empty()) obs_drops.emplace_back();
   chunk_head_.push_back(kNone);
   chunk_tail_.push_back(kNone);
   latency_head_.push_back(kNone);
@@ -113,10 +110,9 @@ std::size_t NodeSoA::allocated_bytes() const noexcept {
          column_bytes(queued_bits) + column_bytes(offered_bits) +
          column_bytes(delivered_bits) + column_bytes(peak_queue_bits) +
          column_bytes(rounds_served) + column_bytes(session) +
-         column_bytes(obs_latency) + column_bytes(obs_snr) +
-         column_bytes(obs_drops) + column_bytes(chunk_head_) +
-         column_bytes(chunk_tail_) + column_bytes(latency_head_) +
-         chunk_pool_.allocated_bytes() + latency_pool_.allocated_bytes();
+         column_bytes(chunk_head_) + column_bytes(chunk_tail_) +
+         column_bytes(latency_head_) + chunk_pool_.allocated_bytes() +
+         latency_pool_.allocated_bytes();
 }
 
 void NodeSoA::grow_if_full() {
@@ -141,12 +137,8 @@ void NodeSoA::reserve(std::size_t n) {
   delivered_bits.reserve(n);
   peak_queue_bits.reserve(n);
   rounds_served.reserve(n);
-  // Lazy columns (sessions, per-node metric handles) only reserve once they
-  // are in use — reserving an empty vector would allocate the very capacity
-  // the budget-probe configuration avoids.
-  if (!obs_latency.empty()) obs_latency.reserve(n);
-  if (!obs_snr.empty()) obs_snr.reserve(n);
-  if (!obs_drops.empty()) obs_drops.reserve(n);
+  // The lazy session column is not reserved: reserving an empty vector
+  // would allocate the very capacity the budget-probe configuration avoids.
   chunk_head_.reserve(n);
   chunk_tail_.reserve(n);
   latency_head_.reserve(n);

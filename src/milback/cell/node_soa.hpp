@@ -35,7 +35,6 @@
 #include "milback/channel/backscatter_channel.hpp"
 #include "milback/core/round_types.hpp"
 #include "milback/core/session.hpp"
-#include "milback/obs/registry.hpp"
 
 namespace milback::cell {
 
@@ -114,14 +113,6 @@ class NodeSoA {
   /// AdaptiveSession embeds a full link copy — far above the per-node byte
   /// budget, so probe-mode cells never pay for the column).
   std::vector<std::optional<core::AdaptiveSession>> session;
-  /// Per-node telemetry handles. Sized lazily by the engine the first time
-  /// it registers a node with metrics enabled (68 bytes/row — outside the
-  /// per-node budget, so metrics-off fleets never allocate the columns).
-  /// Empty columns mean "no per-node telemetry"; the engine's record sites
-  /// check for that.
-  std::vector<obs::Histogram> obs_latency;
-  std::vector<obs::Histogram> obs_snr;
-  std::vector<obs::Counter> obs_drops;
 
  private:
   /// Grows every column by ~12.5% when the id column is at capacity (called

@@ -5,7 +5,7 @@
 
 #include "milback/core/ber.hpp"
 #include "milback/core/contract.hpp"
-#include "milback/node/power_model.hpp"
+#include "milback/core/energy.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::core {
@@ -104,7 +104,7 @@ std::optional<node::NodeOrientationEstimate> MilBackLink::sense_orientation_at_n
   const auto trace_b = port_trace(FsaPort::kB);
   return node::estimate_orientation_at_node(trace_a, trace_b,
                                             node_.mcu().adc().config().sample_rate_hz,
-                                            chirp, node_.fsa());
+                                            chirp, channel_.fsa());
 }
 
 DownlinkRunResult MilBackLink::run_downlink(const channel::NodePose& pose,
@@ -349,19 +349,9 @@ PacketRunResult MilBackLink::run_packet(const channel::NodePose& pose,
   // --- Timing + node energy. ---
   const double symbol_rate = rate / 2.0;
   result.timing = compute_timing(config_.packet, direction, symbol_rate);
-  const auto& pw = node_.config().power;
-  double energy = 0.0;
-  energy += node::node_power_w(node::NodeMode::kOrientationSensing, pw) * result.timing.field1_s;
-  energy += node::node_power_w(node::NodeMode::kLocalization, pw,
-                               node_.config().localization_toggle_hz) *
-            result.timing.field2_s;
-  if (direction == LinkDirection::kDownlink) {
-    energy += node::node_power_w(node::NodeMode::kDownlink, pw) * result.timing.payload_s;
-  } else {
-    energy += node::node_power_w(node::NodeMode::kUplink, pw, symbol_rate) *
-              result.timing.payload_s;
-  }
-  result.node_energy_j = energy;
+  result.node_energy_j =
+      packet_node_energy_j(result.timing, direction, node_.config().power,
+                           symbol_rate, node_.config().localization_toggle_hz);
   return result;
 }
 

@@ -8,7 +8,7 @@
 namespace milback::core {
 
 PacketTiming compute_timing(const PacketConfig& config, LinkDirection direction,
-                            double symbol_rate_hz) noexcept {
+                            double symbol_rate_hz) {
   require_finite(symbol_rate_hz, "symbol_rate_hz");
   PacketTiming t;
   const auto& p = config.preamble;

@@ -60,7 +60,9 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   require_positive(true_pose.distance_m, "true_pose.distance_m");
   require_finite(true_pose.azimuth_deg, "true_pose.azimuth_deg");
   require_finite(true_pose.orientation_deg, "true_pose.orientation_deg");
-  SessionStep out;
+  // Built in place so last_step() reports this round on every return path.
+  SessionStep& out = last_step_;
+  out = SessionStep{};
   session_obs().rounds.add();
 
   if (state_ != SessionState::kTracking) {

@@ -77,6 +77,9 @@ class AdaptiveSession {
   /// Runs one protocol round against the node's current true pose.
   SessionStep step(const channel::NodePose& true_pose, milback::Rng& rng);
 
+  /// What the latest step() returned (a default SessionStep before any).
+  const SessionStep& last_step() const noexcept { return last_step_; }
+
   /// Current state.
   SessionState state() const noexcept { return state_; }
 
@@ -102,6 +105,7 @@ class AdaptiveSession {
   SessionState state_ = SessionState::kAcquiring;
   std::size_t comm_failures_ = 0;
   double measured_ber_ema_ = 0.0;
+  SessionStep last_step_{};
 };
 
 }  // namespace milback::core

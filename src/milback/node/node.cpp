@@ -4,7 +4,6 @@ namespace milback::node {
 
 MilBackNode::MilBackNode(const NodeConfig& config)
     : config_(config),
-      fsa_(config.fsa),
       switch_a_(config.rf_switch),
       switch_b_(config.rf_switch),
       detector_a_(config.detector),
@@ -59,7 +58,7 @@ void MilBackNode::enter_mode(NodeMode mode) noexcept {
 }
 
 // milback-analyze: no-contract(negative toggle rate is a sentinel selecting the mode-default rate)
-double MilBackNode::power_w(double toggle_rate_hz) const noexcept {
+double MilBackNode::power_w(double toggle_rate_hz) const {
   double rate = toggle_rate_hz;
   if (rate < 0.0) {
     rate = mode_ == NodeMode::kLocalization ? config_.localization_toggle_hz : 0.0;

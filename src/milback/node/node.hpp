@@ -3,7 +3,9 @@
 // Architecture: a dual-port FSA whose each port feeds an SPDT switch that
 // routes to either the FSA ground plane (reflect) or a matched envelope
 // detector (absorb, output to the MCU ADC). No phased arrays, phase
-// shifters, amplifiers, oscillators or mixers anywhere.
+// shifters, amplifiers, oscillators or mixers anywhere. The FSA itself is
+// the channel's (channel::BackscatterChannel::fsa()): it shapes every trace
+// the node sees, so the node estimates against that same pattern.
 #pragma once
 
 #include "milback/antenna/fsa.hpp"
@@ -16,7 +18,6 @@ namespace milback::node {
 
 /// Full node bill of materials.
 struct NodeConfig {
-  antenna::FsaConfig fsa{};
   rf::RfSwitchConfig rf_switch{};
   rf::EnvelopeDetectorConfig detector{};
   McuConfig mcu{};
@@ -24,7 +25,8 @@ struct NodeConfig {
   double localization_toggle_hz = 10e3;  ///< Port switching rate in Field 2.
 };
 
-/// The backscatter node: passive antenna + two switches + two detectors + MCU.
+/// The backscatter node behind the channel's FSA: two switches + two
+/// detectors + MCU.
 class MilBackNode {
  public:
   /// Assembles the node from its configuration.
@@ -58,7 +60,7 @@ class MilBackNode {
 
   /// Node power draw in the current mode [W], excluding the MCU.
   /// `toggle_rate_hz` defaults by mode (localization toggle or 0).
-  double power_w(double toggle_rate_hz = -1.0) const noexcept;
+  double power_w(double toggle_rate_hz = -1.0) const;
 
   /// Maximum uplink bit rate [bps] the switches support (2 bits/symbol,
   /// one possible transition per symbol per switch).
@@ -68,7 +70,6 @@ class MilBackNode {
   double max_downlink_bit_rate_bps() const noexcept;
 
   /// Component access.
-  const antenna::DualPortFsa& fsa() const noexcept { return fsa_; }
   const rf::EnvelopeDetector& detector(antenna::FsaPort port) const noexcept;
   const rf::RfSwitch& rf_switch(antenna::FsaPort port) const noexcept;
   const Mcu& mcu() const noexcept { return mcu_; }
@@ -76,7 +77,6 @@ class MilBackNode {
 
  private:
   NodeConfig config_;
-  antenna::DualPortFsa fsa_;
   rf::RfSwitch switch_a_;
   rf::RfSwitch switch_b_;
   rf::EnvelopeDetector detector_a_;

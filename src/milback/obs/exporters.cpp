@@ -183,8 +183,6 @@ std::string chrome_trace_json() {
   struct TrackName { std::uint32_t track; const char* label; };
   static constexpr TrackName kTracks[] = {
       {kLaneCell, "cell engine (sim s)"},
-      {kLaneLocalizer, "localizer (sample idx)"},
-      {kLaneSession, "session (sim s)"},
   };
   bool first = true;
   for (const auto& t : kTracks) {

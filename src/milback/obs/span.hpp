@@ -2,20 +2,14 @@
 //
 // A span records an interval [t_begin, t_end] on a named track. Timestamps
 // come from the caller's deterministic clock — the event-queue time in the
-// cell engine, the sample/chirp index in the DSP pipeline — never from a wall
-// clock, so the collected trace is bit-identical at any MILBACK_SIM_THREADS.
+// cell engine — never from a wall clock, so the collected trace is
+// bit-identical at any MILBACK_SIM_THREADS.
 //
 // Usage (cell engine, sim seconds):
 //
 //   obs::Span span(sweep_name_id_, now_s, obs::trace_lane(kLaneCell));
 //   ... handle the event ...
 //   span.end(now_s);   // emitted iff tracing is enabled
-//
-// Usage (DSP pipeline, sample-index timeline):
-//
-//   obs::Span span(range_fft_id_, double(first_sample), lane);
-//   ...
-//   span.end(double(last_sample));
 //
 // A span whose end() is never called is emitted at destruction as a
 // zero-length marker at t_begin, so forgotten ends are visible in the trace
@@ -41,9 +35,7 @@ constexpr std::uint64_t trace_lane(std::uint32_t track,
 /// Track ids used by the built-in instrumentation (extend freely; the
 /// exporter names tracks "track<N>" unless it recognises one of these).
 enum : std::uint32_t {
-  kLaneCell = 1,     ///< cell engine event loop (sim seconds)
-  kLaneLocalizer = 2,  ///< AP localization pipeline (sample index)
-  kLaneSession = 3,  ///< session / MAC layer (sim seconds)
+  kLaneCell = 1,  ///< cell engine event loop (sim seconds)
 };
 
 /// RAII sim-time span. Construction is a no-op (no allocation, no lock) when

@@ -113,38 +113,42 @@ TEST(CellEngine, BlockageEpisodeSuppressesServiceWhileActive) {
   EXPECT_GT(re.nodes[0].delivered_bits, 0.0);
 }
 
-TEST(CellEngine, ObserverSeesEveryServedSweep) {
-  auto engine = make_engine();
-  engine.add_node("a", spec(2.0, -25.0));
-  engine.add_node("b", spec(3.0, 20.0));
-  std::size_t observations = 0;
-  std::size_t max_round = 0;
-  engine.set_observer([&](const ServiceObservation& obs) {
-    ++observations;
-    max_round = std::max(max_round, obs.round);
-    EXPECT_FALSE(obs.has_session);
-    EXPECT_GE(obs.rate_bps, 0.0);
-  });
-  const auto report = engine.run(0.2, 19);
-  EXPECT_EQ(observations, report.service_rounds * 2u);
-  EXPECT_EQ(max_round + 1u, report.service_rounds);
-}
-
 TEST(CellEngine, SessionModeTracksAndDelivers) {
   CellConfig cfg;
   cfg.run_sessions = true;
   cfg.service_period_s = 0.01;
   auto engine = make_engine(cfg);
-  engine.add_node("a", spec(3.0, 10.0));
+  const auto node = engine.add_node("a", spec(3.0, 10.0));
+  std::size_t sweeps = 0;
   std::size_t tracking_rounds = 0;
-  engine.set_observer([&](const ServiceObservation& obs) {
-    ASSERT_TRUE(obs.has_session);
-    if (obs.session.state == core::SessionState::kTracking) ++tracking_rounds;
-  });
-  const auto report = engine.run(0.3, 23);
+  engine.begin(0.3, 23);
+  for (; engine.pending_events() > 0; ++sweeps) {
+    // Mid-period: this sweep has run, the next has not.
+    engine.advance_to((double(sweeps) + 0.5) * cfg.service_period_s);
+    const auto& step = engine.node_session(node).last_step();
+    if (step.state == core::SessionState::kTracking) ++tracking_rounds;
+  }
+  const auto report = engine.finish();
+  EXPECT_EQ(report.service_rounds, sweeps);
   // The session acquires within a few sweeps and then serves traffic.
   EXPECT_GT(tracking_rounds, report.service_rounds / 2);
   EXPECT_GT(report.nodes[0].delivered_bits, 0.0);
+}
+
+TEST(CellEngine, NodeSessionRequiresSessionMode) {
+  auto probe = make_engine();
+  probe.add_node("a", spec(2.0, 0.0));
+  probe.begin(0.1, 1);
+  EXPECT_THROW((void)probe.node_session(0), milback::ContractViolation);
+
+  CellConfig cfg;
+  cfg.run_sessions = true;
+  cfg.service_period_s = 0.01;
+  auto sessions = make_engine(cfg);
+  sessions.add_node("a", spec(2.0, 0.0));
+  sessions.begin(0.1, 1);
+  EXPECT_NO_THROW((void)sessions.node_session(0));
+  EXPECT_THROW((void)sessions.node_session(1), milback::ContractViolation);
 }
 
 TEST(CellEngine, SessionModeRequiresPinnedPeriod) {

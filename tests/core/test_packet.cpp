@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "milback/core/contract.hpp"
 #include "milback/core/packet.hpp"
 
 namespace milback::core {
@@ -102,6 +103,12 @@ TEST(Packet, DownlinkTimeExceedsUplinkPreamble) {
   const auto up = compute_timing(cfg, LinkDirection::kUplink, 1e6);
   const auto dn = compute_timing(cfg, LinkDirection::kDownlink, 1e6);
   EXPECT_GT(dn.field1_s, up.field1_s - 45e-6);
+}
+
+TEST(Packet, TimingRejectsNanSymbolRate) {
+  EXPECT_THROW((void)compute_timing(PacketConfig{}, LinkDirection::kUplink,
+                                    std::nan("")),
+               ContractViolation);
 }
 
 }  // namespace

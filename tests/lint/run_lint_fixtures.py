@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixture suite for scripts/physics_lint.py rules R10 to R13.
+"""Fixture suite for scripts/physics_lint.py rules R10 to R14.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the flagged ones,
@@ -40,6 +40,8 @@ STAGE = {
     "r13_orphan.hpp": "src/milback/fix/r13_orphan.hpp",
     "r13_used.hpp": "src/milback/fix/r13_used.hpp",
     "r13_user.cpp": "bench/r13_user.cpp",
+    "r14_unbounded.cpp": "src/milback/fix/r14_unbounded.cpp",
+    "r14_labeled.cpp": "src/milback/fix/r14_labeled.cpp",
 }
 
 

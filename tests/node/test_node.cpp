@@ -88,7 +88,6 @@ TEST(Node, NoActiveMmWaveComponents) {
 
 TEST(Node, ComponentAccess) {
   MilBackNode node;
-  EXPECT_EQ(node.fsa().config().n_elements, NodeConfig{}.fsa.n_elements);
   EXPECT_GT(node.detector(FsaPort::kB).config().responsivity_v_per_w, 0.0);
 }
 

@@ -1,6 +1,10 @@
 // Node power/energy model tests (Section 9.6 anchors).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "milback/core/contract.hpp"
+#include "milback/node/node.hpp"
 #include "milback/node/power_model.hpp"
 
 namespace milback::node {
@@ -60,6 +64,18 @@ TEST(PowerModel, BeatsMmTagEnergyPerBit) {
 
 TEST(PowerModel, EnergyPerBitZeroRate) {
   EXPECT_DOUBLE_EQ(energy_per_bit_j(0.018, 0.0), 0.0);
+}
+
+TEST(PowerModel, RejectsNanToggleRate) {
+  const PowerModelConfig cfg;
+  const double nan = std::nan("");
+  EXPECT_THROW((void)node_power_w(NodeMode::kUplink, cfg, nan), ContractViolation);
+  // The wrappers forward the violation instead of terminating.
+  EXPECT_THROW((void)node_power_with_mcu_w(NodeMode::kUplink, cfg, nan),
+               ContractViolation);
+  MilBackNode node;
+  node.enter_mode(NodeMode::kUplink);
+  EXPECT_THROW((void)node.power_w(nan), ContractViolation);
 }
 
 }  // namespace

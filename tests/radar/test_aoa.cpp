@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "milback/core/contract.hpp"
 #include "milback/radar/aoa.hpp"
 #include "milback/util/units.hpp"
 
@@ -77,6 +78,26 @@ TEST(Aoa, EstimateInsensitiveToCommonPhase) {
 TEST(Aoa, VanishingPeaksRejected) {
   EXPECT_FALSE(estimate_offset_deg({0.0, 0.0}, {1.0, 0.0}, noiseless()).has_value());
   EXPECT_FALSE(estimate_offset_deg({1.0, 0.0}, {0.0, 0.0}, noiseless()).has_value());
+}
+
+// The AoA helpers run inside the localizer's pass; a bad input must raise a
+// catchable ContractViolation, not terminate the process.
+TEST(Aoa, PhaseToOffsetRejectsNanPhase) {
+  EXPECT_THROW((void)phase_to_offset_deg(std::nan(""), noiseless()),
+               ContractViolation);
+}
+
+TEST(Aoa, EstimateRejectsZeroBaseline) {
+  auto cfg = noiseless();
+  cfg.baseline_m = 0.0;
+  EXPECT_THROW((void)estimate_offset_deg({1.0, 0.0}, {0.0, 1.0}, cfg),
+               ContractViolation);
+}
+
+TEST(Aoa, HalfwidthRejectsZeroBaseline) {
+  auto cfg = noiseless();
+  cfg.baseline_m = 0.0;
+  EXPECT_THROW((void)unambiguous_halfwidth_deg(cfg), ContractViolation);
 }
 
 }  // namespace
