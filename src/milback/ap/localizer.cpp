@@ -130,14 +130,11 @@ Localizer::BurstPair Localizer::synthesize_burst(
   const auto env = fsa_sweep_envelope(channel, pose, true_chirp, fs, n);
   const double noise_w = channel.ap_noise_floor_w(fs);
 
-  // Build the two path lists once; only the state-dependent amplitudes and
-  // the per-chirp clutter drift change inside the burst loop. Backscatter
-  // power is linear in the reflection coefficient, so the node and echo
-  // paths are queried at unit reflection and rescaled per chirp — this
-  // hoists the path-geometry query and the per-sample FSA envelope copies
-  // out of the per-chirp loop. `modulated_returns` is the unified PathSet
-  // query: entry 0 is the direct return (blocker-severed when a blocker
-  // crosses it), the rest are clutter-bounce ghosts and wall echoes.
+  // Backscatter power is linear in the reflection coefficient, so the node
+  // and echo paths are queried once at unit reflection and rescaled per
+  // chirp. `modulated_returns` is the unified PathSet query: entry 0 is the
+  // direct return (blocker-severed when a blocker crosses it), the rest are
+  // clutter-bounce ghosts and wall echoes.
   const auto returns =
       steer_amplitudes
           ? channel.modulated_returns_steered(FsaPort::kA, f_node, pose, 1.0,
@@ -149,47 +146,31 @@ Localizer::BurstPair Localizer::synthesize_burst(
           ? std::vector<channel::ReturnPath>(returns.begin() + 1, returns.end())
           : std::vector<channel::ReturnPath>{};
 
-  std::vector<radar::PathContribution> paths0, paths1;
-  paths0.reserve(2 + ghosts.size() + clutter.size());
-  paths1.reserve(2 + ghosts.size() + clutter.size());
-
+  // One phasor row per path for the whole pass: delays and envelopes are
+  // burst-constant, so every chirp at either RX is a complex-weighted sum of
+  // the same rows. Row order is the summation order of every beat sample.
+  radar::BeatBasis basis(true_chirp, fs, n);
+  basis.reserve(2 + ghosts.size() + clutter.size());
+  const double node_delay_s = channel::round_trip_delay_s(pose.distance_m);
   // Node return through port A (port B absorbs throughout Field 2).
-  radar::PathContribution node_path;
-  node_path.delay_s = channel::round_trip_delay_s(pose.distance_m);
-  node_path.envelope = env;
-  paths0.push_back(node_path);
-  node_path.extra_phase_rad = aoa_phase;
-  paths1.push_back(std::move(node_path));
-
+  basis.add_path(node_delay_s, env);
   // Mirror reflection: static part + switching-correlated leakage.
-  radar::PathContribution mirror_path;
-  mirror_path.delay_s = channel::round_trip_delay_s(pose.distance_m);
-  mirror_path.extra_phase_rad = mirror_phase;
-  paths0.push_back(mirror_path);
-  mirror_path.extra_phase_rad = mirror_phase + aoa_phase;
-  paths1.push_back(mirror_path);
-
+  basis.add_path(node_delay_s);
   // Multipath ghosts of the node's return: modulated like the node itself,
   // so they survive subtraction and appear as weaker, longer-range targets.
+  std::vector<double> ghost_aoa_phase_rad;
+  ghost_aoa_phase_rad.reserve(ghosts.size());
   for (const auto& g : ghosts) {
-    radar::PathContribution gp;
-    gp.delay_s = g.delay_s;
-    gp.envelope = env;
-    paths0.push_back(gp);
-    const double g_offset = g.azimuth_deg - steered_azimuth_deg;
-    gp.extra_phase_rad = radar::offset_to_phase_rad(g_offset, config_.aoa);
-    paths1.push_back(std::move(gp));
+    basis.add_path(g.delay_s, env);
+    ghost_aoa_phase_rad.push_back(
+        radar::offset_to_phase_rad(g.azimuth_deg - steered_azimuth_deg, config_.aoa));
   }
-
   // Static clutter: delays and AoA phases are burst-constant, the
   // chirp-to-chirp drift (which limits subtraction depth) is drawn per chirp.
   std::vector<double> clutter_aoa_phase_rad;
   clutter_aoa_phase_rad.reserve(clutter.size());
   for (const auto& c : clutter) {
-    radar::PathContribution cp;
-    cp.delay_s = c.delay_s;
-    paths0.push_back(cp);
-    paths1.push_back(cp);
+    basis.add_path(c.delay_s);
     clutter_aoa_phase_rad.push_back(
         radar::offset_to_phase_rad(c.azimuth_deg - steered_azimuth_deg, config_.aoa));
   }
@@ -198,39 +179,39 @@ Localizer::BurstPair Localizer::synthesize_burst(
   burst.rx0.reserve(port_a_states.size());
   burst.rx1.reserve(port_a_states.size());
 
+  // Per-chirp weights: amplitude and extra phase; rx1 adds each path's AoA
+  // phase across the baseline.
+  std::vector<radar::cplx> w0(basis.paths()), w1(basis.paths());
   const std::size_t clutter_base = 2 + ghosts.size();
   for (const auto state : port_a_states) {
     const double refl = node_switch.reflection_power(state);
     const double a_node = std::sqrt(p_node_unit_w * refl);
-    paths0[0].amplitude = a_node;
-    paths1[0].amplitude = a_node;
+    w0[0] = radar::path_weight(a_node, 0.0);
+    w1[0] = radar::path_weight(a_node, aoa_phase);
 
     const double mod = state == rf::SwitchState::kReflect
                            ? config_.mirror.modulation_leakage
                            : -config_.mirror.modulation_leakage;
-    paths0[1].amplitude = a_mirror * (1.0 + mod);
-    paths1[1].amplitude = paths0[1].amplitude;
+    const double a_mirror_chirp = a_mirror * (1.0 + mod);
+    w0[1] = radar::path_weight(a_mirror_chirp, mirror_phase);
+    w1[1] = radar::path_weight(a_mirror_chirp, mirror_phase + aoa_phase);
 
     for (std::size_t g = 0; g < ghosts.size(); ++g) {
       const double a_ghost = std::sqrt(ghosts[g].power_w * refl);
-      paths0[2 + g].amplitude = a_ghost;
-      paths1[2 + g].amplitude = a_ghost;
+      w0[2 + g] = radar::path_weight(a_ghost, 0.0);
+      w1[2 + g] = radar::path_weight(a_ghost, ghost_aoa_phase_rad[g]);
     }
 
     for (std::size_t c = 0; c < clutter.size(); ++c) {
       const double drift_a = 1.0 + rng.gaussian(0.0, channel.config().chirp_amplitude_drift);
       const double drift_p = rng.gaussian(0.0, channel.config().chirp_phase_drift_rad);
       const double a_clutter = std::sqrt(clutter[c].power_w) * drift_a;
-      paths0[clutter_base + c].amplitude = a_clutter;
-      paths1[clutter_base + c].amplitude = a_clutter;
-      paths0[clutter_base + c].extra_phase_rad = drift_p;
-      paths1[clutter_base + c].extra_phase_rad = drift_p + clutter_aoa_phase_rad[c];
+      w0[clutter_base + c] = radar::path_weight(a_clutter, drift_p);
+      w1[clutter_base + c] = radar::path_weight(a_clutter, drift_p + clutter_aoa_phase_rad[c]);
     }
 
-    burst.rx0.push_back(
-        radar::synthesize_beat(paths0, true_chirp, fs, n, noise_w, rng));
-    burst.rx1.push_back(
-        radar::synthesize_beat(paths1, true_chirp, fs, n, noise_w, rng));
+    burst.rx0.push_back(basis.synthesize(w0, noise_w, rng));
+    burst.rx1.push_back(basis.synthesize(w1, noise_w, rng));
   }
   return burst;
 }

@@ -27,11 +27,11 @@ class VanAttaArray {
 
   /// One-way aperture gain [dBi] toward `incidence_deg` (element pattern
   /// rolls off; outside the FOV the retrodirective property collapses).
-  double aperture_gain_dbi(double incidence_deg) const noexcept;
+  double aperture_gain_dbi(double incidence_deg) const;
 
   /// Full retrodirective round-trip gain [dB]: receive aperture + re-radiate
   /// aperture - trace loss. This is what multiplies the backscatter link.
-  double retro_gain_db(double incidence_deg) const noexcept;
+  double retro_gain_db(double incidence_deg) const;
 
   /// Whether the array has a signal port a receiver could tap. Always false:
   /// this is the structural reason Van Atta tags are uplink/localization

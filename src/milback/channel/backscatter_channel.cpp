@@ -68,7 +68,7 @@ BackscatterChannel BackscatterChannel::make_default(Environment environment,
 }
 
 double BackscatterChannel::incident_port_power_dbm(antenna::FsaPort port, double f_hz,
-                                                   const NodePose& pose) const noexcept {
+                                                   const NodePose& pose) const {
   // AP horn is steered at the node -> zero offset on the AP side. The node's
   // FSA sees the AP at angle `orientation_deg` off its broadside.
   const double node_gain = fsa_.gain_dbi(port, f_hz, pose.orientation_deg);
@@ -79,7 +79,7 @@ double BackscatterChannel::incident_port_power_dbm(antenna::FsaPort port, double
 }
 
 double BackscatterChannel::cross_port_power_dbm(antenna::FsaPort intended_port, double f_hz,
-                                                const NodePose& pose) const noexcept {
+                                                const NodePose& pose) const {
   require_positive(f_hz, "f_hz");
   const auto other = antenna::other_port(intended_port);
   const double node_gain = fsa_.gain_dbi(other, f_hz, pose.orientation_deg);
@@ -91,7 +91,7 @@ double BackscatterChannel::cross_port_power_dbm(antenna::FsaPort intended_port, 
 
 double BackscatterChannel::backscatter_power_dbm(antenna::FsaPort port, double f_hz,
                                                  const NodePose& pose,
-                                                 double reflect_power_coeff) const noexcept {
+                                                 double reflect_power_coeff) const {
   const double node_gain = fsa_.gain_dbi(port, f_hz, pose.orientation_deg);
   return backscatter_dbm(config_.tx_power_dbm, ap_tx_.config().boresight_gain_dbi,
                          ap_rx_.config().boresight_gain_dbi, node_gain, node_gain,
@@ -102,7 +102,7 @@ double BackscatterChannel::backscatter_power_dbm(antenna::FsaPort port, double f
 
 ReturnPath BackscatterChannel::node_return(antenna::FsaPort port, double f_hz,
                                            const NodePose& pose,
-                                           double reflect_power_coeff) const noexcept {
+                                           double reflect_power_coeff) const {
   require_positive(f_hz, "f_hz");
   require_non_negative(reflect_power_coeff, "reflect_power_coeff");
   ReturnPath r;

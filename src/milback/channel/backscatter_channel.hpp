@@ -95,24 +95,24 @@ class BackscatterChannel {
   /// AP and the one-way implementation loss. Switch insertion loss is NOT
   /// included (the node model owns its switch).
   double incident_port_power_dbm(antenna::FsaPort port, double f_hz,
-                                 const NodePose& pose) const noexcept;
+                                 const NodePose& pose) const;
 
   /// Cross-port interference power [dBm]: power a tone at `f_hz` intended
   /// for `port` couples into the node via the *other* port's pattern.
   double cross_port_power_dbm(antenna::FsaPort intended_port, double f_hz,
-                              const NodePose& pose) const noexcept;
+                              const NodePose& pose) const;
 
   /// --- Uplink / radar (two-way) --------------------------------------------
 
   /// Backscattered power [dBm] at one AP RX antenna when `port` reflects
   /// with power coefficient `reflect_power_coeff` at frequency `f_hz`.
   double backscatter_power_dbm(antenna::FsaPort port, double f_hz, const NodePose& pose,
-                               double reflect_power_coeff) const noexcept;
+                               double reflect_power_coeff) const;
 
   /// Return path (delay/power/bearing) of the node's reflection for the
   /// FMCW pipeline. Power uses the reflect-state switch coefficient.
   ReturnPath node_return(antenna::FsaPort port, double f_hz, const NodePose& pose,
-                         double reflect_power_coeff) const noexcept;
+                         double reflect_power_coeff) const;
 
   /// Return paths of every clutter reflector (AP horns steered at the node,
   /// so clutter off the node bearing is attenuated by the horn pattern).

@@ -30,7 +30,7 @@ double backscatter_dbm(double tx_power_dbm, double ap_tx_gain_dbi, double ap_rx_
 }
 
 double radar_return_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
-                        double rcs_m2, double distance_m, double frequency_hz) noexcept {
+                        double rcs_m2, double distance_m, double frequency_hz) {
   // Pr = Pt Gt Gr lambda^2 sigma / ((4 pi)^3 d^4)
   require_positive(frequency_hz, "frequency_hz");
   const double d = std::max(distance_m, 0.01);
@@ -47,7 +47,7 @@ double round_trip_delay_s(double distance_m) noexcept {
   return 2.0 * distance_m / kSpeedOfLight;
 }
 
-double round_trip_phase_rad(double distance_m, double frequency_hz) noexcept {
+double round_trip_phase_rad(double distance_m, double frequency_hz) {
   return wrap_radians(2.0 * kPi * frequency_hz * round_trip_delay_s(distance_m));
 }
 

@@ -72,7 +72,10 @@ void FftPlan::execute(cplx* x, const std::vector<cplx>& twiddle) const noexcept 
     for (std::size_t i = 0; i < n_; i += len) {
       for (std::size_t k = 0; k < half; ++k) {
         const cplx u = x[i + k];
-        const cplx v = x[i + k + half] * stage[k];
+        // b * w, written out (see the accuracy policy in the header).
+        const cplx b = x[i + k + half], w = stage[k];
+        const cplx v(b.real() * w.real() - b.imag() * w.imag(),
+                     b.real() * w.imag() + b.imag() * w.real());
         x[i + k] = u + v;
         x[i + k + half] = u - v;
       }

@@ -13,7 +13,10 @@
 // Accuracy policy: the twiddle tables are generated with the `w *= wlen`
 // recurrence of the textbook iterative Cooley-Tukey loop, so planned
 // transforms are bit-identical to that reference
-// (tests/dsp/test_fft_plan.cpp pins this).
+// (tests/dsp/test_fft_plan.cpp pins this). The butterfly writes its complex
+// product out (ac - bd, ad + bc): the same operations as std::complex's
+// operator*, so the same bits for finite inputs, without the NaN-recovery
+// call (__muldc3) GCC keeps in that operator unless -ffast-math is on.
 #pragma once
 
 #include <complex>

@@ -8,7 +8,10 @@
 // and the state phasor every `kRenormInterval` samples, bounding the
 // magnitude drift at ~interval * eps and the phase error at ~sqrt(n) * eps —
 // within 1e-12 of the trig reference over the longest chirp in the protocol
-// (tests/dsp/test_oscillator.cpp pins <= 1e-9).
+// (tests/dsp/test_oscillator.cpp pins <= 1e-9). The rotation is the complex
+// product written out (ac - bd, ad + bc): the same operations as
+// std::complex's operator*, so the same bits for every finite phasor, minus
+// the NaN-recovery call GCC keeps in that operator without -ffast-math.
 #pragma once
 
 #include <cmath>
@@ -37,7 +40,9 @@ class PhasorOscillator {
   /// Current sample e^{i(phi0 + n*step)}; advances the oscillator.
   std::complex<double> next() noexcept {
     const std::complex<double> out = z_;
-    z_ *= w_;
+    // z_ *= w_, written out (see the accuracy policy above).
+    z_ = {z_.real() * w_.real() - z_.imag() * w_.imag(),
+          z_.real() * w_.imag() + z_.imag() * w_.real()};
     if (++since_renorm_ == kRenormInterval) {
       z_ /= std::abs(z_);
       since_renorm_ = 0;

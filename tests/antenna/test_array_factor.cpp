@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "milback/antenna/array_factor.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::antenna {
@@ -70,6 +71,18 @@ TEST(Beamwidth, ScanBroadening) {
 TEST(Beamwidth, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(beamwidth_deg(0, 0.5, 0.0), 180.0);
   EXPECT_DOUBLE_EQ(beamwidth_deg(12, 0.0, 0.0), 180.0);
+}
+
+TEST(ArrayFactor, UniformRejectsNanPhase) {
+  EXPECT_THROW((void)uniform_array_factor(std::nan(""), 12), ContractViolation);
+}
+
+TEST(ArrayFactor, ElementPatternRejectsNanAngle) {
+  EXPECT_THROW((void)element_pattern_db(std::nan(""), 1.3), ContractViolation);
+}
+
+TEST(ArrayFactor, BeamwidthRejectsNanAngle) {
+  EXPECT_THROW((void)beamwidth_deg(12, 0.5, std::nan("")), ContractViolation);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "milback/antenna/fsa.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::antenna {
@@ -198,6 +200,50 @@ TEST_P(CarrierSweep, CarriersAlignBothBeams) {
 INSTANTIATE_TEST_SUITE_P(ScanRange, CarrierSweep,
                          ::testing::Values(-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0,
                                            5.0, 10.0, 15.0, 20.0, 25.0, 30.0));
+
+TEST(Fsa, BeamAngleRejectsNanFrequency) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.beam_angle_deg(FsaPort::kA, std::nan("")), ContractViolation);
+}
+
+TEST(Fsa, BeamFrequencyRejectsNanAngle) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.beam_frequency_hz(FsaPort::kA, std::nan("")), ContractViolation);
+}
+
+TEST(Fsa, GainDbiRejectsNanAngle) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.gain_dbi(FsaPort::kA, 28e9, std::nan("")), ContractViolation);
+}
+
+TEST(Fsa, GainLinearRejectsNanFrequency) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.gain_linear(FsaPort::kB, std::nan(""), 10.0), ContractViolation);
+}
+
+TEST(Fsa, BeamwidthRejectsNanFrequency) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.beamwidth_deg(std::nan("")), ContractViolation);
+}
+
+TEST(Fsa, CarrierPairRejectsNanAngle) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.carrier_pair_for_angle(std::nan("")), ContractViolation);
+}
+
+TEST(Fsa, NormalIncidenceRejectsNanAngle) {
+  const DualPortFsa fsa;
+  EXPECT_THROW((void)fsa.normal_incidence(std::nan(""), 1e8), ContractViolation);
+}
+
+TEST(Fsa, ScanRangeRejectsUnboundedBand) {
+  // The constructor accepts an infinite upper band edge; the scan range
+  // then asks for the beam angle at an infinite frequency.
+  FsaConfig cfg;
+  cfg.max_frequency_hz = std::numeric_limits<double>::infinity();
+  const DualPortFsa fsa(cfg);
+  EXPECT_THROW((void)fsa.scan_range_deg(), ContractViolation);
+}
 
 }  // namespace
 }  // namespace milback::antenna

@@ -8,6 +8,7 @@
 #include "milback/baselines/mmtag.hpp"
 #include "milback/baselines/omniscatter.hpp"
 #include "milback/baselines/van_atta.hpp"
+#include "milback/core/contract.hpp"
 
 namespace milback::baselines {
 namespace {
@@ -130,6 +131,16 @@ TEST(ComparisonLineup, MilBackUplinkSnrFinite) {
     EXPECT_GT(*snr, 10.0);
     EXPECT_NEAR(s->max_uplink_rate_bps() / 1e6, 160.0, 10.0);
   }
+}
+
+TEST(VanAtta, ApertureGainRejectsNanIncidence) {
+  const VanAttaArray va{VanAttaConfig{}};
+  EXPECT_THROW((void)va.aperture_gain_dbi(std::nan("")), ContractViolation);
+}
+
+TEST(VanAtta, RetroGainRejectsNanIncidence) {
+  const VanAttaArray va{VanAttaConfig{}};
+  EXPECT_THROW((void)va.retro_gain_db(std::nan("")), ContractViolation);
 }
 
 }  // namespace

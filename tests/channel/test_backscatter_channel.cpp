@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "milback/channel/backscatter_channel.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::channel {
@@ -118,6 +119,36 @@ TEST(BackscatterChannel, OrientationGatesBackscatterPower) {
   const double pa = chan.backscatter_power_dbm(antenna::FsaPort::kA, *f, aligned, 1.0);
   const double pr = chan.backscatter_power_dbm(antenna::FsaPort::kA, *f, rotated, 1.0);
   EXPECT_GT(pa - pr, 20.0);
+}
+
+// The channel's power queries reach the FSA gain contract: a NaN pose
+// raises ContractViolation instead of terminating.
+TEST(BackscatterChannel, IncidentPowerRejectsNanOrientation) {
+  const auto chan = make_channel();
+  EXPECT_THROW((void)chan.incident_port_power_dbm(antenna::FsaPort::kA, 28e9,
+                                                  {2.0, 0.0, std::nan("")}),
+               ContractViolation);
+}
+
+TEST(BackscatterChannel, CrossPortPowerRejectsNanOrientation) {
+  const auto chan = make_channel();
+  EXPECT_THROW((void)chan.cross_port_power_dbm(antenna::FsaPort::kA, 28e9,
+                                               {2.0, 0.0, std::nan("")}),
+               ContractViolation);
+}
+
+TEST(BackscatterChannel, BackscatterPowerRejectsNanOrientation) {
+  const auto chan = make_channel();
+  EXPECT_THROW((void)chan.backscatter_power_dbm(antenna::FsaPort::kA, 28e9,
+                                                {2.0, 0.0, std::nan("")}, 1.0),
+               ContractViolation);
+}
+
+TEST(BackscatterChannel, NodeReturnRejectsNanOrientation) {
+  const auto chan = make_channel();
+  EXPECT_THROW((void)chan.node_return(antenna::FsaPort::kA, 28e9, {2.0, 0.0, std::nan("")},
+                                     1.0),
+               ContractViolation);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "milback/channel/propagation.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::channel {
@@ -73,6 +74,15 @@ TEST(Propagation, RoundTripPhaseWrapped) {
   const double ph = round_trip_phase_rad(2.3456, 28e9);
   EXPECT_GE(ph, -kPi);
   EXPECT_LT(ph, kPi);
+}
+
+TEST(Propagation, RadarReturnRejectsNanFrequency) {
+  EXPECT_THROW((void)radar_return_dbm(10.0, 20.0, 20.0, 0.01, 2.0, std::nan("")),
+               ContractViolation);
+}
+
+TEST(Propagation, RoundTripPhaseRejectsNanDistance) {
+  EXPECT_THROW((void)round_trip_phase_rad(std::nan(""), 28e9), ContractViolation);
 }
 
 }  // namespace

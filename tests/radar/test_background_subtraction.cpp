@@ -108,5 +108,49 @@ TEST(BackgroundSubtraction, NoisePairsAverageDown) {
   EXPECT_GT(peak_to_floor(sub5), 0.8 * peak_to_floor(sub2));
 }
 
+// The RangeSpectrum overload reads each spectrum's bins in place; it must
+// give the bits of the raw-vector overload and of the plain pairwise
+// reference (difference, |difference| summed in pair order, then scaled).
+TEST(BackgroundSubtraction, SpectrumOverloadIsBitExact) {
+  const auto spectra = make_burst(3.0, 6.0, 1e-4, 1e-5, 1e-2, 5, 1e-12);
+  std::vector<std::vector<std::complex<double>>> raw;
+  for (const auto& s : spectra) raw.push_back(s.bins);
+  const auto sub = background_subtract(spectra);
+  const auto sub_raw = background_subtract(raw);
+
+  const std::size_t n = raw.front().size();
+  std::vector<double> magnitude(n, 0.0);
+  std::vector<std::complex<double>> first(n);
+  for (std::size_t p = 0; p + 1 < raw.size(); ++p) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::complex<double> d = raw[p + 1][k] - raw[p][k];
+      magnitude[k] += std::abs(d);
+      if (p == 0) first[k] = d;
+    }
+  }
+  for (auto& v : magnitude) v *= 1.0 / double(raw.size() - 1);
+
+  ASSERT_EQ(sub.pairs, 4u);
+  ASSERT_EQ(sub_raw.pairs, 4u);
+  ASSERT_EQ(sub.detection_magnitude.size(), n);
+  ASSERT_EQ(sub.first_difference.size(), n);
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(sub.detection_magnitude[k], magnitude[k]) << "bin " << k;
+    EXPECT_EQ(sub_raw.detection_magnitude[k], magnitude[k]) << "bin " << k;
+    EXPECT_EQ(sub.first_difference[k].real(), first[k].real()) << "bin " << k;
+    EXPECT_EQ(sub.first_difference[k].imag(), first[k].imag()) << "bin " << k;
+    EXPECT_EQ(sub_raw.first_difference[k].real(), first[k].real()) << "bin " << k;
+    EXPECT_EQ(sub_raw.first_difference[k].imag(), first[k].imag()) << "bin " << k;
+  }
+}
+
+TEST(BackgroundSubtraction, SpectrumOverloadChecksItsInputs) {
+  auto spectra = make_burst(3.0, 6.0, 1e-4, 1e-5, 1e-2, 2);
+  EXPECT_THROW(background_subtract(std::vector<RangeSpectrum>(1, spectra[0])),
+               std::invalid_argument);
+  spectra[1].bins.pop_back();
+  EXPECT_THROW(background_subtract(spectra), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace milback::radar

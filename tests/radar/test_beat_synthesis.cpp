@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <vector>
 
+#include "milback/core/contract.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/peak.hpp"
 #include "milback/radar/beat_synthesis.hpp"
@@ -137,6 +140,111 @@ TEST(BeatSynthesis, TriangularDownLegNegatesBeat) {
   };
   EXPECT_GT(slope_at(100), 0.0);
   EXPECT_LT(slope_at(n - 200), 0.0);
+}
+
+// Per-path reference: each sample straight from cos/sin of the phase the
+// basis rows encode, summed path by path.
+std::vector<cplx> per_path_reference(const std::vector<PathContribution>& paths,
+                                     const ChirpConfig& chirp, double fs, std::size_t n) {
+  std::size_t flip = n;
+  if (chirp.shape == ChirpShape::kTriangular) {
+    while (flip > 0 && double(flip - 1) / fs > chirp.duration_s / 2.0) --flip;
+  }
+  std::vector<cplx> out(n, cplx{0.0, 0.0});
+  for (const auto& p : paths) {
+    const double step = 2.0 * kPi * chirp.slope_hz_per_s() * p.delay_s / fs;
+    const double phi0 = dechirp_phase_rad(chirp, p.delay_s) + p.extra_phase_rad;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Up-leg: phi0 + i*step; down-leg restarts from phi0 - flip*step and
+      // runs at -step.
+      const double phase = i < flip ? phi0 + double(i) * step : phi0 - double(i) * step;
+      const double a = p.amplitude * (p.envelope.empty() ? 1.0 : p.envelope[i]);
+      out[i] += cplx(a * std::cos(phase), a * std::sin(phase));
+    }
+  }
+  return out;
+}
+
+TEST(BeatSynthesis, BurstBasisMatchesPerPathReference) {
+  const double fs = 50e6;
+  for (const auto& chirp : {field2_chirp(), field1_chirp()}) {
+    const std::size_t n = samples_per_chirp(chirp, fs);
+    for (const bool with_envelopes : {false, true}) {
+      Rng draw(17);
+      std::vector<PathContribution> geometry;
+      for (int p = 0; p < 13; ++p) {
+        PathContribution g;
+        g.delay_s = draw.uniform(5e-9, 60e-9);
+        if (with_envelopes && p % 3 == 0) {
+          g.envelope.resize(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            g.envelope[i] = std::exp(-std::pow((double(i) - 0.4 * double(n)) / 150.0, 2));
+          }
+        }
+        geometry.push_back(std::move(g));
+      }
+      BeatBasis basis(chirp, fs, n);
+      for (const auto& g : geometry) basis.add_path(g.delay_s, g.envelope);
+      ASSERT_EQ(basis.paths(), geometry.size());
+      ASSERT_EQ(basis.samples(), n);
+
+      // Ten outputs (five chirps x two antennas), each with fresh weights.
+      for (int out = 0; out < 10; ++out) {
+        auto paths = geometry;
+        std::vector<cplx> weights;
+        for (auto& p : paths) {
+          p.amplitude = draw.uniform(1e-6, 1e-3);
+          p.extra_phase_rad = draw.phase();
+          weights.push_back(path_weight(p.amplitude, p.extra_phase_rad));
+        }
+        auto rng = quiet_rng();
+        const auto beat = basis.synthesize(weights, 0.0, rng);
+        const auto ref = per_path_reference(paths, chirp, fs, n);
+        ASSERT_EQ(beat.size(), n);
+        double peak = 0.0;
+        for (const auto& v : ref) peak = std::max(peak, std::abs(v));
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_LE(std::abs(beat[i] - ref[i]), 1e-12 * peak)
+              << "sample " << i << " output " << out << " envelopes " << with_envelopes;
+        }
+        // The one-output entry point is the same kernel, bit for bit.
+        auto rng2 = quiet_rng();
+        const auto single = synthesize_beat(paths, chirp, fs, n, 0.0, rng2);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(single[i].real(), beat[i].real()) << "sample " << i;
+          ASSERT_EQ(single[i].imag(), beat[i].imag()) << "sample " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BeatSynthesis, BasisAddsNoiseLastFromTheCallersRng) {
+  const auto chirp = field2_chirp();
+  const std::size_t n = samples_per_chirp(chirp, 50e6);
+  BeatBasis basis(chirp, 50e6, n);
+  basis.add_path(40e-9);
+  const std::vector<cplx> w = {path_weight(1e-3, 0.7)};
+  Rng a(5), b(5), c(5);
+  const auto clean = basis.synthesize(w, 0.0, a);
+  const auto noisy = basis.synthesize(w, 1e-9, b);
+  std::vector<cplx> expect = clean;
+  c.add_complex_gaussian(expect.data(), expect.size(), 1e-9);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(noisy[i].real(), expect[i].real());
+    EXPECT_EQ(noisy[i].imag(), expect[i].imag());
+  }
+  EXPECT_EQ(b.engine(), c.engine());
+}
+
+TEST(BeatSynthesis, BasisRejectsMismatchedInputs) {
+  BeatBasis basis(field2_chirp(), 50e6, 64);
+  EXPECT_THROW(basis.add_path(50e-9, std::vector<double>(63, 1.0)), ContractViolation);
+  basis.add_path(50e-9);
+  auto rng = quiet_rng();
+  EXPECT_THROW((void)basis.synthesize({}, 0.0, rng), ContractViolation);
+  EXPECT_THROW((void)basis.synthesize({cplx{1.0, 0.0}}, -1.0, rng), ContractViolation);
+  EXPECT_THROW(BeatBasis(field2_chirp(), 0.0, 64), ContractViolation);
 }
 
 TEST(BeatSynthesis, DechirpPhaseFormula) {

@@ -1,6 +1,9 @@
 // FMCW chirp definition tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "milback/core/contract.hpp"
 #include "milback/radar/chirp.hpp"
 #include "milback/util/units.hpp"
 
@@ -85,6 +88,17 @@ TEST(Chirp, MaxRangeFromSampleRate) {
   const auto c = field2_chirp();
   // At 50 MS/s (real Nyquist fs/2 = 25 MHz) -> max ~22.5 m.
   EXPECT_NEAR(c.max_range_m(50e6), 22.5, 0.1);
+}
+
+// Contracts on the synthesis path reach the caller as ContractViolation
+// (neither function is noexcept, so a NaN cannot terminate the program).
+TEST(Chirp, FrequencyAtRejectsNanTime) {
+  EXPECT_THROW((void)field2_chirp().frequency_at(std::nan("")), ContractViolation);
+}
+
+TEST(Chirp, CrossingsRejectsNanFrequency) {
+  double t[2] = {0.0, 0.0};
+  EXPECT_THROW((void)field1_chirp().crossings(std::nan(""), t), ContractViolation);
 }
 
 }  // namespace

@@ -78,29 +78,38 @@ TEST(Rng, ComplexGaussianIsUncorrelatedAcrossComponents) {
   EXPECT_NEAR(cross / n, 0.0, 0.02);
 }
 
+// Sizes around the bulk draws' 256-sample block: empty, one, one short of,
+// exactly, and one past a block, and a whole 900-sample chirp.
+constexpr std::size_t kBulkSizes[] = {0, 1, 255, 256, 257, 900};
+
 TEST(Rng, BulkFillMatchesPerCallDraws) {
   // The bulk fill must consume the engine exactly like per-call draws, so
   // existing seeds reproduce the same noise no matter which API fills it.
-  Rng a(61), b(61);
-  std::vector<std::complex<double>> bulk(257);
-  a.fill_complex_gaussian(bulk.data(), bulk.size(), 2.5);
-  for (auto& v : bulk) {
-    const auto expect = b.complex_gaussian(2.5);
-    EXPECT_EQ(v.real(), expect.real());
-    EXPECT_EQ(v.imag(), expect.imag());
+  for (const std::size_t n : kBulkSizes) {
+    Rng a(61), b(61);
+    std::vector<std::complex<double>> bulk(n);
+    a.fill_complex_gaussian(bulk.data(), bulk.size(), 2.5);
+    for (const auto& v : bulk) {
+      const auto expect = b.complex_gaussian(2.5);
+      EXPECT_EQ(v.real(), expect.real()) << "n = " << n;
+      EXPECT_EQ(v.imag(), expect.imag()) << "n = " << n;
+    }
+    // And the engines end in the same state.
+    EXPECT_EQ(a.engine(), b.engine()) << "n = " << n;
   }
-  // And the engines end in the same state.
-  EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
 }
 
 TEST(Rng, BulkAddMatchesPerCallDraws) {
-  Rng a(62), b(62);
-  std::vector<std::complex<double>> sum(64, std::complex<double>{1.0, -2.0});
-  a.add_complex_gaussian(sum.data(), sum.size(), 0.5);
-  for (auto& v : sum) {
-    const auto expect = std::complex<double>{1.0, -2.0} + b.complex_gaussian(0.5);
-    EXPECT_EQ(v.real(), expect.real());
-    EXPECT_EQ(v.imag(), expect.imag());
+  for (const std::size_t n : kBulkSizes) {
+    Rng a(62), b(62);
+    std::vector<std::complex<double>> sum(n, std::complex<double>{1.0, -2.0});
+    a.add_complex_gaussian(sum.data(), sum.size(), 0.5);
+    for (const auto& v : sum) {
+      const auto expect = std::complex<double>{1.0, -2.0} + b.complex_gaussian(0.5);
+      EXPECT_EQ(v.real(), expect.real()) << "n = " << n;
+      EXPECT_EQ(v.imag(), expect.imag()) << "n = " << n;
+    }
+    EXPECT_EQ(a.engine(), b.engine()) << "n = " << n;
   }
 }
 

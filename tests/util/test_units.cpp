@@ -1,6 +1,9 @@
 // Unit and dB arithmetic tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback {
@@ -81,6 +84,14 @@ TEST_P(WrapSweep, InRangeAndIdempotent) {
 INSTANTIATE_TEST_SUITE_P(ManyAngles, WrapSweep,
                          ::testing::Values(-1000.0, -359.9, -181.0, -0.5, 0.0, 0.5,
                                            179.9, 180.0, 723.4, 99999.0));
+
+TEST(Units, WrapDegreesRejectsNan) {
+  EXPECT_THROW((void)wrap_degrees(std::nan("")), ContractViolation);
+}
+
+TEST(Units, WrapRadiansRejectsNan) {
+  EXPECT_THROW((void)wrap_radians(std::nan("")), ContractViolation);
+}
 
 }  // namespace
 }  // namespace milback
