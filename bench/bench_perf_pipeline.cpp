@@ -25,6 +25,7 @@
 #include "milback/obs/span.hpp"
 #include "milback/radar/background_subtraction.hpp"
 #include "milback/radar/beat_synthesis.hpp"
+#include "milback/util/units.hpp"
 
 using namespace milback;
 
@@ -249,6 +250,46 @@ void BM_MeshRouting(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeshRouting)->Unit(benchmark::kMillisecond);
+
+// The same discovery over a warehouse scene that makes pairs trace walls:
+// 192 tags down four aisles fanning out from the AP (2-20 m, 24 degrees
+// apart), a rack-face wall beside every aisle and two pickers crossing them.
+// The argument is the cell-wide blockage episode [dB]: at 0 most pairs
+// keep an unblocked direct ray and skip their walls, at 18 every pair
+// traces every wall.
+void BM_MeshRouting_Aisle(benchmark::State& state) {
+  const double blockage_db = double(state.range(0));
+  constexpr std::size_t kAisles = 4, kTagsPerAisle = 48;
+  const std::size_t n = kAisles * kTagsPerAisle;
+  std::vector<double> x(n), y(n);
+  std::vector<std::uint8_t> alive(n, 1), direct(n, 0);
+  channel::MultipathConfig scene;
+  for (std::size_t a = 0; a < kAisles; ++a) {
+    const double th = deg2rad(-36.0 + 24.0 * double(a));
+    const double ux = std::cos(th), uy = std::sin(th);
+    for (std::size_t t = 0; t < kTagsPerAisle; ++t) {
+      const std::size_t i = a * kTagsPerAisle + t;
+      const double along = 2.0 + 18.0 * (double(t) + 0.5) / double(kTagsPerAisle);
+      const double lateral = 0.1 * double(int(i % 9) - 4);
+      x[i] = along * ux - lateral * uy;
+      y[i] = along * uy + lateral * ux;
+      direct[i] = along <= 10.0 ? 1 : 0;
+    }
+    scene.walls.push_back({1.5 * ux + 1.6 * uy, 1.5 * uy - 1.6 * ux,
+                           20.5 * ux + 1.6 * uy, 20.5 * uy - 1.6 * ux, 2.0});
+  }
+  scene.blockers.push_back({7.0, -5.0, 0.0, 1.0, 0.4, 25.0});
+  scene.blockers.push_back({13.0, 5.0, 0.0, -1.2, 0.4, 25.0});
+  const mesh::MeshConfig cfg;
+  for (auto _ : state) {
+    auto table = mesh::build_neighbor_table(cfg, scene, blockage_db, 0.0, x, y,
+                                            alive, /*time_s=*/1.0);
+    auto routes = mesh::build_routes(table, direct, /*max_ttl=*/12);
+    benchmark::DoNotOptimize(table);
+    benchmark::DoNotOptimize(routes);
+  }
+}
+BENCHMARK(BM_MeshRouting_Aisle)->Arg(0)->Arg(18)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Multi-cell engine: sharded campus/city scenarios. Sweep periods are pinned

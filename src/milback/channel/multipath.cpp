@@ -14,51 +14,50 @@ namespace {
 // a terminal and the "bounce" degenerates into the direct ray.
 constexpr double kMinLegM = 0.05;
 
-// Shortest distance from point (px, py) to the segment (x1,y1)-(x2,y2).
-double point_segment_distance(double px, double py, double x1, double y1,
-                              double x2, double y2) {
-  const double ux = x2 - x1;
-  const double uy = y2 - y1;
+// Relative band around a disc's rim inside which `segment_hits_disc` falls
+// back to the hypot. The squared offset and the hypot each round by a few
+// ulps (~1e-15 relative), so outside the band both give the same answer.
+constexpr double kRimSlack = 1e-6;
+
+// True when the segment (ax,ay)-(bx,by) passes through the disc centered at
+// (cx, cy) with radius r: the distance from the center to the closest point
+// of the segment, hypot(ex, ey), is at most r. The squared offset settles
+// every case clear of the rim without the hypot; radii outside
+// [1e-100, 1e100], whose square could leave the normal range, always take
+// the hypot.
+bool segment_hits_disc(double ax, double ay, double bx, double by, double cx,
+                       double cy, double r) {
+  const double ux = bx - ax;
+  const double uy = by - ay;
   const double len2 = ux * ux + uy * uy;
   double t = 0.0;
   if (len2 > 0.0) {
-    t = ((px - x1) * ux + (py - y1) * uy) / len2;
+    t = ((cx - ax) * ux + (cy - ay) * uy) / len2;
     t = std::min(std::max(t, 0.0), 1.0);
   }
-  return std::hypot(px - (x1 + t * ux), py - (y1 + t * uy));
-}
-
-// True when the segment (ax,ay)-(bx,by) passes through the disc centered at
-// (cx, cy) with radius r.
-bool segment_hits_disc(double ax, double ay, double bx, double by, double cx,
-                       double cy, double r) {
-  return point_segment_distance(cx, cy, ax, ay, bx, by) <= r;
-}
-
-// Penetration loss the blockers impose on the leg (ax,ay)-(bx,by) at time t.
-double leg_blocker_loss_db(const MultipathConfig& config, double ax, double ay,
-                           double bx, double by, double time_s) {
-  double loss = 0.0;
-  for (const auto& b : config.blockers) {
-    const double cx = b.x_m + b.vx_mps * time_s;
-    const double cy = b.y_m + b.vy_mps * time_s;
-    if (segment_hits_disc(ax, ay, bx, by, cx, cy, b.radius_m)) {
-      loss += b.penetration_loss_db;
-    }
+  const double ex = cx - (ax + t * ux);
+  const double ey = cy - (ay + t * uy);
+  if (r >= 1e-100 && r <= 1e100) {
+    const double q = ex * ex + ey * ey;
+    const double r2 = r * r;
+    if (q > r2 * (1.0 + kRimSlack)) return false;
+    if (q < r2 * (1.0 - kRimSlack)) return true;
   }
-  return loss;
+  return std::hypot(ex, ey) <= r;
 }
 
-// Specular image path off one wall; returns false when the reflection point
-// falls off the physical segment (or degenerates into the direct ray).
-bool wall_image_path(const WallSegment& w, double nx, double ny, PropPath* out) {
+}  // namespace
+
+// milback-analyze: no-contract(total over any geometry: a non-finite input yields no bounce; trace_paths and the mesh validate coordinates first)
+bool specular_bounce(const WallSegment& w, double nx, double ny,
+                     SpecularBounce* out) {
   const double ux = w.x2_m - w.x1_m;
   const double uy = w.y2_m - w.y1_m;
   const double len2 = ux * ux + uy * uy;
   if (len2 <= 0.0) return false;
 
-  // Signed side of the wall line: the AP (origin) and the node must sit on
-  // the same side for a specular bounce to exist.
+  // Signed side of the wall line: the source (origin) and the node must sit
+  // on the same side for a specular bounce to exist.
   const double side_ap = ux * (0.0 - w.y1_m) - uy * (0.0 - w.x1_m);
   const double side_node = ux * (ny - w.y1_m) - uy * (nx - w.x1_m);
   if (side_ap * side_node <= 0.0) return false;
@@ -72,13 +71,13 @@ bool wall_image_path(const WallSegment& w, double nx, double ny, PropPath* out) 
   const double ix = 2.0 * footx - nx;
   const double iy = 2.0 * footy - ny;
 
-  // Intersect the AP -> image ray with the physical segment:
+  // Intersect the source -> image ray with the physical segment:
   // s * (ix, iy) = (x1, y1) + t * (ux, uy).
   const double det = ix * (-uy) - iy * (-ux);
   if (std::abs(det) < 1e-12) return false;  // ray parallel to the wall
   const double s = (w.x1_m * (-uy) - w.y1_m * (-ux)) / det;
   const double t = (ix * w.y1_m - iy * w.x1_m) / det;
-  if (s <= 0.0 || s >= 1.0) return false;  // image behind the AP or past it
+  if (s <= 0.0 || s >= 1.0) return false;  // image behind the source or past it
   if (t < 0.0 || t > 1.0) return false;    // specular point off the segment
 
   const double hx = s * ix;
@@ -88,16 +87,24 @@ bool wall_image_path(const WallSegment& w, double nx, double ny, PropPath* out) 
   if (d_ah < kMinLegM || d_hn < kMinLegM) return false;
 
   out->length_m = d_ah + d_hn;
-  out->aoa_deg = rad2deg(std::atan2(hy, hx));
-  out->aod_deg = rad2deg(std::atan2(hy - ny, hx - nx));
-  out->bounce_loss_db = w.reflection_loss_db;
-  out->bounces = 1;
   out->hit_x_m = hx;
   out->hit_y_m = hy;
   return true;
 }
 
-}  // namespace
+// milback-analyze: no-contract(total over any geometry and any blocker list, including empty)
+double leg_blocker_loss_db(std::span<const MovingBlocker> blockers, double ax,
+                           double ay, double bx, double by, double time_s) {
+  double loss = 0.0;
+  for (const auto& b : blockers) {
+    const double cx = b.x_m + b.vx_mps * time_s;
+    const double cy = b.y_m + b.vy_mps * time_s;
+    if (segment_hits_disc(ax, ay, bx, by, cx, cy, b.radius_m)) {
+      loss += b.penetration_loss_db;
+    }
+  }
+  return loss;
+}
 
 MultipathConfig MultipathConfig::office_walls(std::uint64_t seed,
                                               std::size_t n_walls) {
@@ -156,18 +163,27 @@ PathSet trace_paths(const MultipathConfig& config, double node_x_m,
   direct.length_m = std::hypot(node_x_m, node_y_m);
   direct.aoa_deg = rad2deg(std::atan2(node_y_m, node_x_m));
   direct.aod_deg = rad2deg(std::atan2(-node_y_m, -node_x_m));
-  direct.blocker_loss_db =
-      leg_blocker_loss_db(config, 0.0, 0.0, node_x_m, node_y_m, time_s);
+  direct.blocker_loss_db = leg_blocker_loss_db(config.blockers, 0.0, 0.0,
+                                               node_x_m, node_y_m, time_s);
   set.paths.push_back(direct);
 
   for (std::size_t w = 0; w < config.walls.size(); ++w) {
+    SpecularBounce b;
+    if (!specular_bounce(config.walls[w], node_x_m, node_y_m, &b)) continue;
     PropPath p;
-    if (!wall_image_path(config.walls[w], node_x_m, node_y_m, &p)) continue;
+    p.length_m = b.length_m;
+    p.aoa_deg = rad2deg(std::atan2(b.hit_y_m, b.hit_x_m));
+    p.aod_deg = rad2deg(std::atan2(b.hit_y_m - node_y_m, b.hit_x_m - node_x_m));
+    p.bounce_loss_db = config.walls[w].reflection_loss_db;
+    p.bounces = 1;
     p.wall = static_cast<int>(w);
+    p.hit_x_m = b.hit_x_m;
+    p.hit_y_m = b.hit_y_m;
     p.blocker_loss_db =
-        leg_blocker_loss_db(config, 0.0, 0.0, p.hit_x_m, p.hit_y_m, time_s) +
-        leg_blocker_loss_db(config, p.hit_x_m, p.hit_y_m, node_x_m, node_y_m,
-                            time_s);
+        leg_blocker_loss_db(config.blockers, 0.0, 0.0, b.hit_x_m, b.hit_y_m,
+                            time_s) +
+        leg_blocker_loss_db(config.blockers, b.hit_x_m, b.hit_y_m, node_x_m,
+                            node_y_m, time_s);
     set.paths.push_back(p);
   }
 

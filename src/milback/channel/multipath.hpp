@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace milback::channel {
@@ -105,10 +106,35 @@ struct PathSet {
   std::size_t severed_count() const noexcept;
 };
 
+/// Geometry of one first-order specular bounce from a source at the origin
+/// to a node: what every bounce path of `trace_paths` is built from, without
+/// bearings or losses.
+struct SpecularBounce {
+  double length_m = 0.0;  ///< Source -> specular point -> node.
+  double hit_x_m = 0.0;   ///< Specular point on the wall.
+  double hit_y_m = 0.0;
+};
+
+/// Specular bounce off `wall` from the origin to (node_x_m, node_y_m), found
+/// by reflecting the node across the wall line and intersecting the ray to
+/// the image with the physical segment. Returns false (`out` untouched) when
+/// the wall is zero-length, the two ends sit on opposite sides of its line,
+/// the specular point falls off the segment, or either leg is shorter than
+/// 5 cm (the bounce would degenerate into the direct ray). No allocation.
+bool specular_bounce(const WallSegment& wall, double node_x_m, double node_y_m,
+                     SpecularBounce* out);
+
+/// Penetration loss [dB] that `blockers`, evaluated at sim time `time_s`,
+/// impose on the straight leg (ax_m, ay_m) -> (bx_m, by_m): the sum of the
+/// losses of every disc the leg touches, in blocker order. No allocation.
+double leg_blocker_loss_db(std::span<const MovingBlocker> blockers, double ax_m,
+                           double ay_m, double bx_m, double by_m, double time_s);
+
 /// Traces the first-order path set from the AP (origin) to the node at
 /// (node_x_m, node_y_m), evaluating moving blockers at sim time `time_s`.
 /// Walls whose specular point falls off the physical segment contribute no
-/// path. The direct path is always present (possibly severed).
+/// path. The direct path is always present (possibly severed). Composes
+/// `specular_bounce` and `leg_blocker_loss_db` and adds the bearings.
 PathSet trace_paths(const MultipathConfig& config, double node_x_m,
                     double node_y_m, double time_s);
 

@@ -21,7 +21,7 @@ double friis_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
 double backscatter_dbm(double tx_power_dbm, double ap_tx_gain_dbi, double ap_rx_gain_dbi,
                        double node_gain_in_dbi, double node_gain_out_dbi,
                        double reflect_power_coeff, double distance_m,
-                       double frequency_hz) noexcept {
+                       double frequency_hz) {
   require_positive(frequency_hz, "frequency_hz");
   const double loss = fspl_db(distance_m, frequency_hz);
   const double reflect_db = lin2db(std::max(reflect_power_coeff, 1e-30));

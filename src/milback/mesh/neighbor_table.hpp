@@ -1,14 +1,23 @@
 // Mesh neighbor table: pairwise relay-link margins over the multipath
-// PathSet.
+// path geometry.
 //
 // A relay edge (i, j) exists when the best surviving propagation path
-// between the two nodes clears the relay SNR threshold. Path evaluation
-// reuses `channel::trace_paths` with the scene translated into node i's
-// frame, so the SAME walls that carry an AP link around a blocked direct
+// between the two nodes clears the relay SNR threshold. Paths are evaluated
+// with the channel layer's own primitives (`channel::specular_bounce`,
+// `channel::leg_blocker_loss_db` — the geometry `trace_paths` is built
+// from), so the SAME walls that carry an AP link around a blocked direct
 // ray carry a relay edge, and the SAME moving blockers that sever AP links
 // sever mesh edges. A cell-wide blockage episode applies its loss to the
 // direct leg of every pair (like AP links); ambient/co-channel loss applies
 // to every path.
+//
+// The build translates the scene into node i's frame once per alive source
+// row and evaluates all of the row's candidate pairs against it, with no
+// per-pair allocation. A two-stage distance prefilter (squared-distance
+// reject, then the exact hypot bound) picks the candidates, and a pair
+// whose direct leg is unblocked skips its walls when no bounce can beat the
+// direct ray (see the dominance cut in neighbor_table.cpp). Every step is
+// exact: margins are bit-identical to tracing each pair's full PathSet.
 //
 // The table is CSR-shaped (offset + flat link array, both in node-index
 // order), so iterating it is deterministic by construction — no hash
@@ -56,7 +65,8 @@ struct NeighborTable {
 /// Link margin [dB] of the node pair at plan positions (x1, y1) -> (x2, y2):
 /// relay SNR over the best surviving path minus `config.relay_min_snr_db`.
 /// Negative means no edge. Pure function of (config, scene, losses,
-/// geometry, time) — bit-identical at any thread count.
+/// geometry, time) — bit-identical at any thread count. This is the
+/// one-pair case of `build_neighbor_table`'s row kernel.
 double relay_link_margin_db(const MeshConfig& config,
                             const channel::MultipathConfig& scene,
                             double blockage_loss_db, double ambient_loss_db,
@@ -69,7 +79,9 @@ double relay_link_margin_db(const MeshConfig& config,
 double max_relay_range_m(const MeshConfig& config);
 
 /// Builds the table over every alive node pair (dead rows get no links).
-/// All spans are node-index order and must share one size.
+/// All spans are node-index order and must share one size. Every alive
+/// node's coordinates and `time_s` must be finite (ContractViolation
+/// otherwise); dead rows are not read beyond their `alive` flag.
 NeighborTable build_neighbor_table(const MeshConfig& config,
                                    const channel::MultipathConfig& scene,
                                    double blockage_loss_db,

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "milback/channel/link_budget.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::channel {
@@ -37,6 +40,22 @@ TEST(ModulationCoeff, GrowsWithContrast) {
   const double low = modulation_power_coeff(rf::RfSwitch{lossy});
   const double high = modulation_power_coeff(make_switch());
   EXPECT_GT(high, low);
+}
+
+TEST(ModulationCoeff, RejectsNanFromCorruptedSwitch) {
+  // The switch constructor rejects a NaN loss, so the postcondition can only
+  // see one through a switch whose state was overwritten after construction.
+  // RfSwitch is standard-layout and trivially copyable with its config as
+  // first member, so writing a config over its leading bytes does exactly
+  // that.
+  static_assert(std::is_standard_layout_v<rf::RfSwitch> &&
+                std::is_trivially_copyable_v<rf::RfSwitch>);
+  rf::RfSwitch sw = make_switch();
+  rf::RfSwitchConfig corrupt = sw.config();
+  corrupt.insertion_loss_db = std::nan("");
+  std::memcpy(static_cast<void*>(&sw), &corrupt, sizeof corrupt);
+  ASSERT_TRUE(std::isnan(sw.config().insertion_loss_db));
+  EXPECT_THROW(modulation_power_coeff(sw), ContractViolation);
 }
 
 TEST(DownlinkBudget, SinrCombinesSnrAndSir) {

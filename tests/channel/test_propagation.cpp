@@ -45,6 +45,12 @@ TEST(Propagation, BackscatterReflectCoefficient) {
   EXPECT_NEAR(full - half, 3.01, 0.01);
 }
 
+TEST(Propagation, BackscatterRejectsNanFrequency) {
+  EXPECT_THROW(backscatter_dbm(27.0, 20.0, 20.0, 13.0, 13.0, 1.0, 3.0,
+                               std::nan("")),
+               ContractViolation);
+}
+
 TEST(Propagation, BackscatterFortyDbPerDecade) {
   const double p1 = backscatter_dbm(27.0, 20.0, 20.0, 13.0, 13.0, 1.0, 1.0, 28e9);
   const double p10 = backscatter_dbm(27.0, 20.0, 20.0, 13.0, 13.0, 1.0, 10.0, 28e9);
