@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_seed(argc, argv);
   bench::banner("Ablation", "Background subtraction ON vs OFF (cluttered office)", seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const auto chan = bench::make_indoor_channel(env_rng);
   const ap::Localizer loc;
 

@@ -15,8 +15,7 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_seed(argc, argv);
   bench::banner("Ablation", "Preamble direction-detection robustness", seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   Table t({"orientation (deg)", "distance (m)", "DL detect rate", "UL detect rate"});

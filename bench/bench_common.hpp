@@ -50,6 +50,12 @@ inline void banner(const std::string& id, const std::string& title, std::uint64_
             << "==================================================================\n";
 }
 
+/// Keys of a bench's one-off streams, `Rng::stream(seed, tag)`. Per-point
+/// and per-trial streams key on small indices (`stream(seed, p, trial)`),
+/// so the tags are ASCII words no sweep index reaches.
+inline constexpr std::uint64_t kEnvironmentStream = 0x656e76;  // "env": room clutter
+inline constexpr std::uint64_t kDetectorStream = 0x646574;     // "det": detector noise
+
 /// The standard experiment channel: paper-default hardware over a cluttered
 /// indoor office (tables, chairs, shelves — Section 9 setup).
 inline channel::BackscatterChannel make_indoor_channel(Rng& rng) {

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_seed(argc, argv);
   bench::banner("Extension", "Dense OAQFM: level count vs rate vs range", seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   std::cout << "Constellation properties (detector-power-uniform levels):\n";

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_seed(argc, argv);
   bench::banner("Extension", "Hamming(7,4) coded uplink vs raw (10 Mbps channel)", seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
   rf::RfSwitch sw{rf::RfSwitchConfig{}};
   const auto pair = link.channel().fsa().carrier_pair_for_angle(15.0);

@@ -22,9 +22,8 @@ int main(int argc, char** argv) {
       {2.0, -30.0, 12.0}, {3.5, -18.0, -10.0}, {2.5, -4.0, 15.0},
       {4.5, 8.0, -14.0},  {3.0, 20.0, 10.0},   {5.5, 32.0, -8.0}};
 
-  // Reference capacity from an idle probe. The environment stream is
-  // stateless so the probe and every load point below see the *same* room
-  // (a stateful fork(1) would hand each call a different one).
+  // Reference capacity from an idle probe. The environment stream is keyed,
+  // so the probe and every load point below see the *same* room.
   const auto make_env = [&] { return Rng::stream(seed, std::uint64_t{1000}); };
   const auto make_engine = [&] {
     Rng env_rng = make_env();

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_seed(argc, argv);
   bench::banner("Fig 11", "OAQFM microbenchmark: detector voltages for 00/01/10/11 at 2 m",
                 seed);
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const auto chan = bench::make_indoor_channel(env_rng);
   node::MilBackNode nd;
 
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
   for (auto& p : w.power_a_w) p *= through;
   for (auto& p : w.power_b_w) p *= through;
 
-  auto rng = master.fork(2);
+  auto rng = Rng::stream(seed, bench::kDetectorStream);
   const auto va = nd.detector(antenna::FsaPort::kA).detect(w.power_a_w, w.fs, rng);
   const auto vb = nd.detector(antenna::FsaPort::kB).detect(w.power_b_w, w.fs, rng);
 

@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_seed(argc, argv);
   bench::banner("Fig 12a", "FMCW ranging accuracy vs distance (20 trials/point)", seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   Table t({"distance (m)", "mean err (cm)", "p90 err (cm)", "max err (cm)", "misses",

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
   bench::banner("Fig 12b", "Angle-of-arrival error CDF (two-antenna phase comparison)",
                 seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   std::vector<AnglePoint> points;

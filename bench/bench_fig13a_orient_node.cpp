@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
             << bench::kProtractorSigmaDeg
             << " deg added, matching the paper's measurement chain.\n\n";
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   Table t({"orientation (deg)", "mean err (deg)", "std (deg)", "max (deg)", "invalid",

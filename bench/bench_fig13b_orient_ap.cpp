@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   std::cout << "Ground-truth uncertainty: protractor sigma = "
             << bench::kProtractorSigmaDeg << " deg added.\n\n";
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   Table t({"orientation (deg)", "mean err (deg)", "std (deg)", "invalid", "note"});

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
   bench::banner("Fig 14", "Downlink SINR vs distance (1 GHz measurement bandwidth)",
                 seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, bench::kEnvironmentStream);
   const core::MilBackLink link(bench::make_indoor_channel(env_rng), core::LinkConfig{});
 
   Table t({"distance (m)", "SINR (dB)", "SNR-only (dB)", "SIR-only (dB)",

@@ -24,8 +24,7 @@ inline int run_fig15(int argc, char** argv, double bit_rate_bps, const char* fig
                      Table::num(bit_rate_bps / 1e6, 0) + " Mbps",
          seed);
 
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, kEnvironmentStream);
   const core::MilBackLink link(make_indoor_channel(env_rng), core::LinkConfig{});
 
   Table t({"distance (m)", "SNR (dB)", "analytic BER", "measured BER (4k bits)",

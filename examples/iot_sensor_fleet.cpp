@@ -22,9 +22,7 @@ using namespace milback;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 31;
-  Rng master(seed);
-
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, 1);
   const core::MilBackLink link(channel::BackscatterChannel::make_default(
                                    channel::Environment::indoor_office(env_rng)),
                                core::LinkConfig{});
@@ -34,8 +32,8 @@ int main(int argc, char** argv) {
                "Section-7 uplink packet carrying the sensor payload.\n\n";
 
   // One real exchange to verify the link and measure energy.
-  auto rng = master.fork(2);
-  auto data = master.fork(3);
+  auto rng = Rng::stream(seed, 2);
+  auto data = Rng::stream(seed, 3);
   const auto bits = data.bits(512);
   const auto pkt = link.run_packet(pose, core::LinkDirection::kUplink, bits, rng);
   if (!pkt.direction_ok || !pkt.uplink || pkt.uplink->bit_errors > 0) {
@@ -71,7 +69,7 @@ int main(int argc, char** argv) {
 
   // --- Fleet telemetry on the cell engine: eight sensors, staggered rollout.
   std::cout << "\nFleet rollout (cell engine, 0.4 s compressed timeline):\n";
-  auto fleet_env = master.fork(1);  // same room as the reference packet
+  auto fleet_env = Rng::stream(seed, 1);  // same room as the reference packet
   cell::CellEngine fleet(channel::BackscatterChannel::make_default(
                              channel::Environment::indoor_office(fleet_env)),
                          cell::CellConfig{});
@@ -83,7 +81,7 @@ int main(int argc, char** argv) {
     fleet.add_node("sensor-" + std::to_string(i),
                    {.pose = p, .arrival_rate_bps = 50e3}, join_s);
   }
-  const auto fr = fleet.run(0.4, master.fork(4).engine()());
+  const auto fr = fleet.run(0.4, Rng::stream(seed, 4).engine()());
   Table ft({"sensor", "joined (s)", "rounds served", "delivered (kbit)",
             "service rate"});
   for (const auto& n : fr.nodes) {

@@ -19,10 +19,9 @@ using namespace milback;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
-  Rng master(seed);
 
   // --- 1. Assemble the world: AP hardware, FSA node antenna, cluttered room.
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, 1);
   auto channel = channel::BackscatterChannel::make_default(
       channel::Environment::indoor_office(env_rng));
   core::MilBackLink link(std::move(channel), core::LinkConfig{});
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
             << " deg\n\n";
 
   // --- 2. Localize (Section 5.1): five sawtooth chirps, node toggling.
-  auto rng = master.fork(2);
+  auto rng = Rng::stream(seed, 2);
   const auto fix = link.localize(pose, rng);
   if (!fix.detected) {
     std::cout << "localization failed - node not detected\n";
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
             << " deg\n";
 
   // --- 4. Downlink (Sections 6.1-6.2): OAQFM over orientation-chosen tones.
-  auto payload_rng = master.fork(3);
+  auto payload_rng = Rng::stream(seed, 3);
   const auto tx_bits = payload_rng.bits(1024);
   const auto dl = link.run_downlink(pose, tx_bits, rng);
   std::cout << "[downlink]    carriers fA = " << Table::num(dl.carriers.f_a_hz / 1e9, 3)

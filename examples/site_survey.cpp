@@ -39,8 +39,7 @@ char classify_downlink(double sinr_db) {
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
-  Rng master(seed);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, 1);
   const auto chan = channel::BackscatterChannel::make_default(
       channel::Environment::indoor_office(env_rng));
   rf::EnvelopeDetector det{rf::EnvelopeDetectorConfig{}};

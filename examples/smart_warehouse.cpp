@@ -34,10 +34,9 @@ using namespace milback;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
-  Rng master(seed);
 
   const core::NetworkConfig net_cfg{};
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, 1);
   const core::MilBackLink link(channel::BackscatterChannel::make_default(
                                    channel::Environment::indoor_office(env_rng)),
                                net_cfg.link);
@@ -52,7 +51,7 @@ int main(int argc, char** argv) {
   // --- Discovery sweep: localize + orientation for every tag, one at a time
   // (the others keep their ports absorptive and are effectively invisible).
   std::cout << "Discovery sweep (" << ids.size() << " tags):\n";
-  auto rng = master.fork(2);
+  auto rng = Rng::stream(seed, 2);
   Table d({"tag", "true (m,deg)", "est range (m)", "est bearing (deg)",
            "est orient (deg)", "det SNR (dB)"});
   int discovered = 0;
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
 
   // --- Inventory rounds: every tag uplinks its payload.
   std::cout << "\nInventory round (800 bits/tag uplink):\n";
-  auto round_rng = master.fork(3);
+  auto round_rng = Rng::stream(seed, 3);
   const auto round = cell::run_uplink_round(
       link, poses, ids, net_cfg.sdm_min_separation_deg, 800, round_rng);
   Table u({"tag", "slot", "BER", "budget SNR (dB)", "eff. SNR w/ SDM (dB)",
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
   // --- A working shift on the cell engine: continuous inventory telemetry
   // under churn. Same room (same environment stream), richer timeline.
   std::cout << "\nShift replay (cell engine, 0.5 s compressed timeline):\n";
-  auto shift_env = master.fork(1);  // same fork id -> same warehouse
+  auto shift_env = Rng::stream(seed, 1);  // same key -> same warehouse
   cell::CellEngine shift(channel::BackscatterChannel::make_default(
                              channel::Environment::indoor_office(shift_env)),
                          cell::CellConfig{});
@@ -116,7 +115,7 @@ int main(int argc, char** argv) {
   shift.schedule_move(3, 0.30, {4.5, 12.0, -18.0});
   shift.schedule_blockage(0.35, 0.45, 12.0);
 
-  const auto report = shift.run(0.5, master.fork(4).engine()());
+  const auto report = shift.run(0.5, Rng::stream(seed, 4).engine()());
   Table s({"tag", "alive", "rounds served", "offered (kbit)", "delivered (kbit)",
            "p50 latency (ms)", "p95 latency (ms)"});
   for (const auto& n : report.nodes) {

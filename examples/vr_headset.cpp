@@ -22,9 +22,7 @@ using namespace milback;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
-  Rng master(seed);
-
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(seed, 1);
   core::MilBackLink link(channel::BackscatterChannel::make_default(
                              channel::Environment::indoor_office(env_rng)),
                          core::LinkConfig{});
@@ -51,8 +49,8 @@ int main(int argc, char** argv) {
         .azimuth_deg = 8.0 * std::sin(0.25 * t_s),
         .orientation_deg = 20.0 * std::sin(0.9 * t_s) + 2.0};
 
-    auto rng = master.fork(std::uint64_t(100 + frame));
-    auto data = master.fork(std::uint64_t(500 + frame));
+    auto rng = Rng::stream(seed, 2, frame);
+    auto data = Rng::stream(seed, 3, frame);
     const auto bits = data.bits(512);
 
     const auto fix = link.localize(pose, rng);

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """AST-grounded determinism analyzer for the milback tree.
 
-`physics_lint.py` is the fast textual gate (rules R1-R12); this tool is the
-semantic gate. It is driven by the build's `compile_commands.json` and checks
-properties that a regex cannot see through typedefs, `auto`, aliases, or
-qualified names:
+`physics_lint.py` is the fast textual gate (rules R1-R5, R7-R14); this tool
+is the semantic gate. It is driven by the build's `compile_commands.json` and
+checks properties that a regex cannot see through typedefs, `auto`, aliases,
+or qualified names:
 
   A1  contract coverage: every public function declared in a
       `src/milback/*/` header with at least one parameter and a non-trivial
@@ -19,12 +19,9 @@ qualified names:
       global) lets draw order escape its scope; (b) `Rng::stream(...)` inside
       a loop must be keyed by a per-iteration id (arity >= 2, and when the
       loop declares induction variables, at least one must appear in the
-      key); (c) `.fork()` reached through an alias of `Rng` is caught where
-      R6's textual rule cannot see it (computed labels in bench/, any fork in
-      the stream-only layers src/milback/{cell,sim}/); (d) a function that
-      returns `Rng` by value is a stream-mint wrapper (the cell engine's
-      `event_stream(node, seq)` is the archetype) — call sites inside loops
-      inherit (b)'s varying-key rule.
+      key); (c) a function that returns `Rng` by value is a stream-mint
+      wrapper (the cell engine's `event_stream(node, seq)` is the
+      archetype) — call sites inside loops inherit (b)'s varying-key rule.
   A4  clock/thread discipline through aliases: `std::chrono` (outside
       src/milback/obs/) and `std::thread`/`std::jthread`/`std::async`
       (outside src/milback/sim/) reached via `using`-aliases, typedefs,
@@ -73,7 +70,7 @@ CHECKS = {
     "A2": ("no-unordered-iter",
            "unordered-container iteration feeding a report/export"),
     "A3": ("no-rng",
-           "Rng escaping scope, unkeyed stream in a loop, fork via alias"),
+           "Rng escaping scope, unkeyed stream in a loop"),
     "A4": ("no-clock",
            "std::chrono/std::thread/std::async reached through an alias"),
     "A5": ("no-reduction",
@@ -97,7 +94,6 @@ CONTRACT_TOKENS = {
 
 CHRONO_ALLOWED_PREFIX = "src/milback/obs/"
 THREAD_ALLOWED_PREFIX = "src/milback/sim/"
-STREAM_ONLY_PREFIXES = ("src/milback/cell/", "src/milback/sim/")
 REDUCTION_SCOPES = ("src/milback/sim/", "src/milback/cell/", "bench/")
 REDUCTION_EXEMPT = ("src/milback/sim/accumulator.",)
 
@@ -367,7 +363,7 @@ class Call:
     __slots__ = ("chain", "line", "loop", "args")
 
     def __init__(self, chain, line, loop, args):
-        self.chain = chain  # e.g. ['Rng', '::', 'stream'] or ['rng', '.', 'fork']
+        self.chain = chain  # e.g. ['Rng', '::', 'stream'] or ['rng', '.', 'bits']
         self.line = line
         self.loop = loop
         self.args = args    # list of token lists (top-level comma split)
@@ -1294,15 +1290,13 @@ def check_a2(model):
 
 def check_a3(model):
     findings = []
-    # (d)'s wrapper registry: a function returning Rng BY VALUE mints a fresh
+    # (c)'s wrapper registry: a function returning Rng BY VALUE mints a fresh
     # stream from its arguments (the cell engine's event_stream(node, seq) is
     # the archetype) — its call sites inherit Rng::stream's loop-keying rule.
-    # Rng's own factories (stream, fork) are handled by (b)/(c).
+    # Rng's own factory, stream, is handled by (b).
     stream_wrappers = set()
     for f in model.funcs:
         if f.file.startswith("src/milback/util/rng."):
-            continue
-        if f.name in ("stream", "fork"):
             continue
         ret = model.canon(f.ret_type)
         if ret.endswith("Rng") and "&" not in f.ret_type and "*" not in f.ret_type:
@@ -1331,6 +1325,18 @@ def check_a3(model):
                 "A3", f.file, f.line,
                 f"`{f.qname()}` returns a reference/pointer to a stateful Rng"
                 " — the caller's draw order becomes coupled to the callee's"))
+
+        def key_varies(c, name):
+            # A key id varies per iteration if it is a loop variable, a local
+            # declared inside an enclosing loop body, or a counter stepped
+            # (++/--/+=) somewhere inside the loop.
+            if name in c.loop.all_vars():
+                return True
+            dl = f.local_lines.get(name)
+            if dl is not None and c.loop.spans_line(dl):
+                return True
+            return any(c.loop.spans_line(ml) for ml in f.mutated.get(name, ()))
+
         for c in f.calls:
             # (b) Rng::stream keying inside loops.
             if c.name() == "stream" and len(c.chain) >= 3 and c.chain[-2] == "::":
@@ -1348,43 +1354,20 @@ def check_a3(model):
                     continue
                 lvars = c.loop.all_vars()
                 arg_ids = {t.val for a in c.args for t in a if t.kind == "id"}
-
-                def varies(name):
-                    # Varies per iteration if it is a loop variable, a local
-                    # declared inside an enclosing loop body, or a counter
-                    # stepped (++/--/+=) somewhere inside the loop.
-                    if name in lvars:
-                        return True
-                    dl = f.local_lines.get(name)
-                    if dl is not None and c.loop.spans_line(dl):
-                        return True
-                    return any(c.loop.spans_line(ml)
-                               for ml in f.mutated.get(name, ()))
-
-                if lvars and not any(varies(a) for a in arg_ids):
+                if lvars and not any(key_varies(c, a) for a in arg_ids):
                     findings.append(Finding(
                         "A3", f.file, c.line,
                         "Rng::stream key never varies with the enclosing"
                         f" loop (loop vars: {', '.join(sorted(lvars))}) —"
                         " iterations share one stream; include the loop's"
                         " entity id in the key"))
-            # (d) stream-like wrapper calls inside loops: same keying rule as
+            # (c) stream-like wrapper calls inside loops: same keying rule as
             # Rng::stream — a key that never varies per iteration hands every
             # iteration the same stream.
             if c.name() in stream_wrappers and c.loop is not None:
                 lvars = c.loop.all_vars()
                 arg_ids = {t.val for a in c.args for t in a if t.kind == "id"}
-
-                def wrapper_varies(name):
-                    if name in lvars:
-                        return True
-                    dl = f.local_lines.get(name)
-                    if dl is not None and c.loop.spans_line(dl):
-                        return True
-                    return any(c.loop.spans_line(ml)
-                               for ml in f.mutated.get(name, ()))
-
-                if lvars and not any(wrapper_varies(a) for a in arg_ids):
+                if lvars and not any(key_varies(c, a) for a in arg_ids):
                     findings.append(Finding(
                         "A3", f.file, c.line,
                         f"stream wrapper `{c.name()}` (returns Rng by value)"
@@ -1392,32 +1375,6 @@ def check_a3(model):
                         f" enclosing loop (loop vars: {', '.join(sorted(lvars))})"
                         " — iterations share one stream; include the loop's"
                         " entity id in the key"))
-            # (c) fork() through aliases.
-            if c.name() == "fork" and len(c.chain) >= 3 and c.chain[-2] in (".", "->"):
-                recv = c.chain[:-2]
-                rtype = resolve_chain_type(model, f, recv)
-                is_rng = False
-                if rtype is not None:
-                    is_rng = model.canon(rtype).split("::")[-1] == "Rng"
-                else:
-                    is_rng = recv[-1] in ("rng", "rng_")
-                if not is_rng:
-                    continue
-                if f.file.startswith(STREAM_ONLY_PREFIXES):
-                    findings.append(Finding(
-                        "A3", f.file, c.line,
-                        f"Rng::fork in `{f.qname()}` — src/milback/{{cell,sim}}/"
-                        " are stream-only layers; derive generators with"
-                        " Rng::stream(seed, ids...)"))
-                elif f.file.startswith("bench/"):
-                    arg_puncts = {t.val for a in c.args for t in a if t.kind == "p"}
-                    if arg_puncts & {"*", "+", "%", "^", "-"}:
-                        findings.append(Finding(
-                            "A3", f.file, c.line,
-                            "fork() with a computed label reached through an"
-                            " alias of Rng — label arithmetic collides across"
-                            " sweep grids (R6 through aliases); use"
-                            " Rng::stream(seed, point, trial)"))
     return findings
 
 
@@ -1607,7 +1564,7 @@ def list_checks():
         print(f"  {check}  {desc}")
         print(f"      waiver: // milback-analyze: {key}(<reason>)")
     print()
-    print("The fast textual gate (R1-R9) lives in scripts/physics_lint.py;")
+    print("The fast textual gate (R1-R5, R7-R14) lives in scripts/physics_lint.py;")
     print("run `physics_lint.py --list-rules` for its rule table.")
 
 

@@ -14,9 +14,6 @@ Rules:
   R5  threading discipline: no raw std::thread/std::jthread/std::async
       outside src/milback/sim/ -- parallelism must flow through
       sim::TrialRunner so thread-count invariance stays provable.
-  R6  stream discipline: no fork() with arithmetic in its label inside
-      bench/ -- ad-hoc seed arithmetic (`fork(a * b + c)`) collides across
-      sweep grids; derive per-trial generators with Rng::stream(seed, ids...).
   R7  phasor discipline: no per-sample `std::cos(...), std::sin(...)` phasor
       construction in src/ outside src/milback/dsp/ -- synthesis loops must
       use dsp::PhasorOscillator (one complex multiply per sample) so tone and
@@ -96,10 +93,6 @@ PARENT_INCLUDE = re.compile(r'#include\s+"\.\./')
 # R5: raw threading primitives; only the sim engine may spawn threads.
 THREAD_PRIMITIVE = re.compile(r"\bstd::(?:jthread|thread|async)\b")
 THREAD_ALLOWED_PREFIX = "src/milback/sim/"
-
-# R6: fork() whose label is computed with arithmetic -- the collision-prone
-# per-trial seeding pattern that Rng::stream replaces.
-FORK_ARITHMETIC = re.compile(r"\bfork\s*\([^)]*[*+%^]")
 
 # R7: a complex phasor built from a cos/sin pair -- the per-sample-trig
 # synthesis idiom that dsp::PhasorOscillator replaces.
@@ -200,12 +193,6 @@ def lint_file(root: Path, path: Path, errors: list[str]) -> None:
             errors.append(
                 f"{rel}:{i}: [R12] src/milback/core/ includes milback/cell/ or"
                 " milback/mesh/ -- keep the library graph acyclic"
-            )
-
-        if rel.startswith("bench/") and FORK_ARITHMETIC.search(line):
-            errors.append(
-                f"{rel}:{i}: [R6] fork() with computed label in bench --"
-                " use Rng::stream(seed, point, trial)"
             )
 
         if (
@@ -315,7 +302,6 @@ RULES = (
     ("R3", "double member that looks like a physical quantity without a unit suffix"),
     ("R4", "header hygiene: `#pragma once` first, no parent-relative #include"),
     ("R5", "raw std::thread/std::async outside src/milback/sim/"),
-    ("R6", "fork() with a computed label in bench -- use Rng::stream(seed, point, trial)"),
     ("R7", "cos/sin phasor pair outside src/milback/dsp/ -- use dsp::PhasorOscillator"),
     ("R8", "ad-hoc round time loop outside the cell engine"),
     ("R9", "std::chrono outside src/milback/obs/ -- sim timestamps must be sim time"),

@@ -125,8 +125,7 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   if (fec) session_obs().fec_rounds.add();
 
   // Payload: encode if FEC chosen, run the uplink, decode, count data errors.
-  auto data_rng = rng.fork(0x5e55);
-  const auto data = data_rng.bits(config_.payload_bits);
+  const auto data = rng.bits(config_.payload_bits);
   const auto tx_bits = fec ? hamming74_encode(data) : data;
   const auto run = link_.run_uplink(true_pose, tx_bits, rng, rate);
   // Liveness: only the node's modulated reply proves the link is real. A
@@ -151,10 +150,9 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   // accounting (run_uplink reports only the error count).
   std::size_t data_errors;
   if (fec) {
-    auto flip = rng.fork(0xfec);
     auto received = tx_bits;
     for (std::size_t i = 0; i < received.size(); ++i) {
-      if (flip.bernoulli(run.ber)) received[i] = !received[i];
+      if (rng.bernoulli(run.ber)) received[i] = !received[i];
     }
     const auto dec = hamming74_decode(received);
     data_errors = 0;

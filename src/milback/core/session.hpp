@@ -74,7 +74,9 @@ class AdaptiveSession {
   /// Builds the session over a channel.
   AdaptiveSession(channel::BackscatterChannel channel, SessionConfig config = {});
 
-  /// Runs one protocol round against the node's current true pose.
+  /// Runs one protocol round against the node's current true pose. Every
+  /// draw of the round (fix noise, payload bits, FEC flips) comes from
+  /// `rng`, the caller's per-(node, event) stream.
   SessionStep step(const channel::NodePose& true_pose, milback::Rng& rng);
 
   /// What the latest step() returned (a default SessionStep before any).

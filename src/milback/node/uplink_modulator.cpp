@@ -34,27 +34,4 @@ UplinkSchedule build_uplink_schedule_ook(const std::vector<bool>& bits) {
   return s;
 }
 
-// milback-analyze: no-contract(total over any schedule; counts adjacent state changes)
-std::size_t count_transitions(const UplinkSchedule& schedule) noexcept {
-  std::size_t n = 0;
-  auto count = [&](const std::vector<rf::SwitchState>& seq) {
-    for (std::size_t i = 1; i < seq.size(); ++i) {
-      if (seq[i] != seq[i - 1]) ++n;
-    }
-  };
-  count(schedule.port_a);
-  count(schedule.port_b);
-  return n;
-}
-
-double average_toggle_rate_hz(const UplinkSchedule& schedule,
-                              double symbol_rate_hz) noexcept {
-  const std::size_t symbols = schedule.port_a.size();
-  if (symbols < 2) return 0.0;
-  require_positive(symbol_rate_hz, "symbol_rate_hz");
-  // Transitions per switch per second, averaged over both switches.
-  const double duration_s = double(symbols) / symbol_rate_hz;
-  return double(count_transitions(schedule)) / 2.0 / duration_s;
-}
-
 }  // namespace milback::node

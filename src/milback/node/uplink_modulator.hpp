@@ -27,12 +27,4 @@ UplinkSchedule build_uplink_schedule(const std::vector<core::OaqfmSymbol>& symbo
 /// OOK fallback schedule: both ports reflect together for a '1' bit.
 UplinkSchedule build_uplink_schedule_ook(const std::vector<bool>& bits);
 
-/// Number of state transitions in a schedule (drives the dynamic power
-/// term of the uplink power model).
-std::size_t count_transitions(const UplinkSchedule& schedule) noexcept;
-
-/// Average per-switch toggle rate [Hz] of a schedule at `symbol_rate_hz`.
-double average_toggle_rate_hz(const UplinkSchedule& schedule,
-                              double symbol_rate_hz) noexcept;
-
 }  // namespace milback::node

@@ -86,10 +86,4 @@ std::uint64_t Rng::mix64(std::uint64_t z) noexcept {
   return z ^ (z >> 31);
 }
 
-Rng Rng::fork(std::uint64_t label) {
-  // SplitMix64-style mixing of a fresh draw with the label so that forks with
-  // different labels are decorrelated even if requested in a different order.
-  return Rng(mix64(engine_() ^ (label + kGolden)));
-}
-
 }  // namespace milback

@@ -70,23 +70,16 @@ class Rng {
   /// Uniform phase in [-pi, pi).
   double phase();
 
-  /// Forks an independent child generator; children with different labels
-  /// are decorrelated from each other and from the parent.
-  ///
-  /// NOTE: forking draws from the parent engine, so the child depends on how
-  /// many values the parent produced before the fork. For order-independent
-  /// derivation (parallel trials, sweeps) use the stateless `stream` below.
-  Rng fork(std::uint64_t label);
-
   /// SplitMix64 finalizer: a bijective 64-bit mix, the building block of
   /// `stream` derivation. Exposed for tests and seed plumbing.
   // milback-analyze: no-contract(bijective 64-bit mixer; every input is valid)
   static std::uint64_t mix64(std::uint64_t z) noexcept;
 
-  /// Stateless counter-based stream derivation: the returned generator is a
-  /// pure function of (seed, id0, id1, ...) with **no** draw from any parent
-  /// engine, so trial i's stream is identical regardless of construction
-  /// order or thread count. Distinct id tuples give decorrelated streams;
+  /// Stateless counter-based stream derivation, the one way to derive a
+  /// generator: the returned generator is a pure function of
+  /// (seed, id0, id1, ...) with **no** draw from any parent engine, so
+  /// trial i's stream is identical regardless of construction order or
+  /// thread count. Distinct id tuples give decorrelated streams;
   /// ids are hashed positionally, so stream(s, 1, 2) != stream(s, 2, 1).
   template <typename... Ids>
   // milback-analyze: no-contract(total by construction; any (seed, ids...) tuple is a valid stream key)

@@ -26,14 +26,6 @@ double variance(std::span<const double> xs) noexcept {
 
 double stddev(std::span<const double> xs) noexcept { return std::sqrt(variance(xs)); }
 
-// milback-analyze: no-contract(total over any sample; empty input is defined to return 0)
-double rms(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += x * x;
-  return std::sqrt(acc / double(xs.size()));
-}
-
 double min_value(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
   return *std::min_element(xs.begin(), xs.end());
@@ -97,21 +89,5 @@ std::vector<CdfPoint> empirical_cdf(std::span<const double> xs) {
                  "empirical_cdf: one point per sample");
   return cdf;
 }
-
-void RunningStats::add(double x) noexcept {
-  require_finite(x, "x");
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / double(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 }  // namespace milback

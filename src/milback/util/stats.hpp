@@ -2,7 +2,6 @@
 // means, variances, 90th percentiles and CDFs over repeated trials.
 #pragma once
 
-#include <cstddef>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -17,9 +16,6 @@ double variance(std::span<const double> xs) noexcept;
 
 /// Sample standard deviation.
 double stddev(std::span<const double> xs) noexcept;
-
-/// Root mean square.
-double rms(std::span<const double> xs) noexcept;
 
 /// Minimum element; 0 for an empty span.
 double min_value(std::span<const double> xs) noexcept;
@@ -53,32 +49,5 @@ struct CdfPoint {
 
 /// Builds the full empirical CDF (sorted values with step probabilities).
 std::vector<CdfPoint> empirical_cdf(std::span<const double> xs);
-
-/// Running aggregator for when samples arrive one at a time.
-class RunningStats {
- public:
-  /// Adds one sample (Welford update).
-  void add(double x) noexcept;
-
-  /// Number of samples added.
-  std::size_t count() const noexcept { return n_; }
-  /// Mean of samples so far (0 if none).
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Unbiased variance (0 if fewer than 2 samples).
-  double variance() const noexcept { return n_ > 1 ? m2_ / double(n_ - 1) : 0.0; }
-  /// Standard deviation.
-  double stddev() const noexcept;
-  /// Minimum sample (0 if none).
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  /// Maximum sample (0 if none).
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace milback

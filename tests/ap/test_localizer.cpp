@@ -44,9 +44,8 @@ TEST(Localizer, AngleWithinPaperEnvelope) {
   const auto chan = cluttered_channel();
   Localizer loc;
   std::vector<double> errs;
-  Rng master(4);
   for (int t = 0; t < 30; ++t) {
-    auto rng = master.fork(std::uint64_t(t));
+    auto rng = Rng::stream(4, t);
     const double az = -20.0 + 4.0 * (t % 11);
     const channel::NodePose pose{2.0, az, 10.0};
     const auto r = loc.localize(chan, pose, rng);
@@ -62,11 +61,10 @@ TEST(Localizer, AngleWithinPaperEnvelope) {
 TEST(Localizer, RangeErrorGrowsWithDistance) {
   const auto chan = cluttered_channel();
   Localizer loc;
-  Rng master(5);
   auto mean_err = [&](double d) {
     std::vector<double> errs;
     for (int t = 0; t < 15; ++t) {
-      auto rng = master.fork(std::uint64_t(1000 + t) * 31 + std::uint64_t(d));
+      auto rng = Rng::stream(5, std::uint64_t(d), t);
       const channel::NodePose pose{d, 0.0, 10.0};
       const auto r = loc.localize(chan, pose, rng);
       if (r.detected) errs.push_back(std::abs(r.range_m - d));

@@ -18,10 +18,9 @@ channel::BackscatterChannel cluttered_channel(std::uint64_t seed = 1) {
 double mean_error_at(double orientation, std::uint64_t base_seed, int trials = 15) {
   const auto chan = cluttered_channel();
   ApOrientationSensor sensor;
-  Rng master(base_seed);
   std::vector<double> errs;
   for (int t = 0; t < trials; ++t) {
-    auto rng = master.fork(std::uint64_t(t));
+    auto rng = Rng::stream(base_seed, t);
     const channel::NodePose pose{2.0, 0.0, orientation};
     const auto r = sensor.estimate(chan, pose, rng);
     if (r.valid) errs.push_back(std::abs(r.orientation_deg - orientation));
@@ -60,9 +59,8 @@ TEST(ApOrientation, PeakFrequencyConsistentWithScanLaw) {
 TEST(ApOrientation, WorksAcrossDistance) {
   const auto chan = cluttered_channel();
   ApOrientationSensor sensor;
-  Rng master(45);
   for (double d : {1.0, 3.0, 5.0}) {
-    auto rng = master.fork(std::uint64_t(d * 10));
+    auto rng = Rng::stream(45, std::uint64_t(d));
     const channel::NodePose pose{d, 0.0, 12.0};
     const auto r = sensor.estimate(chan, pose, rng);
     ASSERT_TRUE(r.valid) << "distance " << d;

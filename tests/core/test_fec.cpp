@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "milback/core/contract.hpp"
 #include "milback/core/fec.hpp"
 #include "milback/util/rng.hpp"
 
@@ -102,6 +103,10 @@ TEST(Fec, AnalyticMatchesMonteCarlo) {
 
 TEST(Fec, DataRateScaling) {
   EXPECT_NEAR(hamming74_data_rate(36e6) / 1e6, 36.0 * 4.0 / 7.0 / 1.0, 0.1);
+}
+
+TEST(Fec, CodedBerRejectsNan) {
+  EXPECT_THROW((void)hamming74_coded_ber(std::nan("")), ContractViolation);
 }
 
 }  // namespace

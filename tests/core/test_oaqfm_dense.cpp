@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "milback/core/contract.hpp"
 #include "milback/core/oaqfm_dense.hpp"
 #include "milback/util/rng.hpp"
 #include "milback/util/units.hpp"
@@ -130,6 +131,10 @@ TEST(DenseOaqfm, PenaltyShiftsBerCurve) {
   const double b2 = ber_dense_ask(db2lin(snr_db), 2);
   const double b4 = ber_dense_ask(db2lin(snr_db + dense_snr_penalty_db(4)), 4);
   EXPECT_NEAR(std::log10(b4), std::log10(b2), 0.6);
+}
+
+TEST(DenseOaqfm, BerRejectsNanSnr) {
+  EXPECT_THROW((void)ber_dense_ask(std::nan(""), 4), ContractViolation);
 }
 
 }  // namespace

@@ -111,5 +111,11 @@ TEST(Packet, TimingRejectsNanSymbolRate) {
                ContractViolation);
 }
 
+TEST(Packet, Field1StartsRejectNonPositiveDuration) {
+  PreambleConfig cfg;
+  cfg.field1.duration_s = 0.0;
+  EXPECT_THROW((void)field1_chirp_starts(cfg, LinkDirection::kUplink), ContractViolation);
+}
+
 }  // namespace
 }  // namespace milback::core

@@ -24,10 +24,9 @@ TEST(EdgeConditions, HeavyBlockageKillsLocalization) {
   // Node at 2.2 m (no clutter reflector nearby in this room seed, so a
   // residue cannot masquerade as a correct fix).
   const auto link = make_link(30.0);
-  Rng master(1);
   int good_fixes = 0;
   for (int t = 0; t < 10; ++t) {
-    auto rng = master.fork(std::uint64_t(t));
+    auto rng = Rng::stream(1, t);
     const auto r = link.localize({2.2, 0.0, 12.0}, rng);
     good_fixes += r.detected && std::abs(r.range_m - 2.2) < 0.15;
   }
@@ -121,11 +120,10 @@ TEST(EdgeConditions, VeryCloseNodeStillWorks) {
 TEST(EdgeConditions, Field1DetectionSurvivesNoisyTrace) {
   // Direction detection must tolerate detector noise on the MCU trace.
   const auto link = make_link();
-  Rng master(9);
   int correct = 0;
   const int kTrials = 12;
   for (int t = 0; t < kTrials; ++t) {
-    auto rng = master.fork(std::uint64_t(t + 100));
+    auto rng = Rng::stream(9, t);
     const channel::NodePose pose{6.0, 0.0, 18.0};  // long range = noisy trace
     const auto trace = link.node_field1_trace(pose, antenna::FsaPort::kA,
                                               core::LinkDirection::kDownlink, rng);

@@ -65,11 +65,10 @@ TEST(PaperClaims, DownlinkBeatsUplinkSnr) {
 TEST(PaperClaims, LocalizationAccuracyFig12a) {
   // Mean error < 5 cm at 5 m and < 12 cm at 8 m.
   const auto link = make_link();
-  Rng master(105);
   auto mean_err = [&](double d) {
     std::vector<double> errs;
     for (int t = 0; t < 20; ++t) {
-      auto rng = master.fork(std::uint64_t(t * 131) + std::uint64_t(d * 7));
+      auto rng = Rng::stream(105, std::uint64_t(d), t);
       const auto r = link.localize({d, 0.0, 10.0}, rng);
       if (r.detected) errs.push_back(std::abs(r.range_m - d));
     }
@@ -84,11 +83,10 @@ TEST(PaperClaims, OrientationAccuracyFig13) {
   // Node-side: mean error always < 3 degrees. AP-side: < ~3 degrees even in
   // the degraded region.
   const auto link = make_link();
-  Rng master(106);
   for (double o : {-20.0, -10.0, 10.0, 20.0}) {
     std::vector<double> node_errs, ap_errs;
     for (int t = 0; t < 15; ++t) {
-      auto rng = master.fork(std::uint64_t(t * 17) + std::uint64_t(o * 3 + 100));
+      auto rng = Rng::stream(106, std::int64_t(o), t);
       const channel::NodePose pose{2.0, 0.0, o};
       const auto ne = link.sense_orientation_at_node(pose, rng);
       if (ne) node_errs.push_back(std::abs(ne->orientation_deg - o));
@@ -124,12 +122,11 @@ TEST(PaperClaims, OaqfmNeedsNoMixerOrOscillator) {
 
 TEST(PaperClaims, ProtocolRoundTripBothDirections) {
   const auto link = make_link();
-  Rng master(109);
   for (const auto dir : {core::LinkDirection::kDownlink, core::LinkDirection::kUplink}) {
     int ok = 0;
     for (int t = 0; t < 10; ++t) {
-      auto rng = master.fork(std::uint64_t(t + 50 * int(dir)));
-      auto data = master.fork(std::uint64_t(1000 + t));
+      auto rng = Rng::stream(109, int(dir), t, 0);
+      auto data = Rng::stream(109, int(dir), t, 1);
       const auto r = link.run_packet({2.5, 0.0, 14.0}, dir, data.bits(512), rng);
       if (r.direction_ok && r.localization.detected) ++ok;
     }

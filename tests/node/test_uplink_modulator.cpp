@@ -34,36 +34,6 @@ TEST(UplinkModulator, OokScheduleMirrorsBits) {
   EXPECT_EQ(s.port_a[1], SwitchState::kAbsorb);
 }
 
-TEST(UplinkModulator, TransitionCount) {
-  // Port A: A R A R -> 3 transitions; Port B: A A R R -> 1 transition.
-  const auto s = build_uplink_schedule(
-      {OaqfmSymbol::k00, OaqfmSymbol::k01, OaqfmSymbol::k10, OaqfmSymbol::k11});
-  EXPECT_EQ(count_transitions(s), 4u);
-}
-
-TEST(UplinkModulator, NoTransitionsForConstantStream) {
-  const auto s = build_uplink_schedule(std::vector<OaqfmSymbol>(10, OaqfmSymbol::k11));
-  EXPECT_EQ(count_transitions(s), 0u);
-}
-
-TEST(UplinkModulator, AverageToggleRate) {
-  // Alternating 11/00 toggles both switches every symbol.
-  std::vector<OaqfmSymbol> syms;
-  for (int i = 0; i < 100; ++i) {
-    syms.push_back(i % 2 ? OaqfmSymbol::k00 : OaqfmSymbol::k11);
-  }
-  const auto s = build_uplink_schedule(syms);
-  const double rate = average_toggle_rate_hz(s, 20e6);
-  // 99 transitions per port over 5 us -> ~19.8 MHz per switch.
-  EXPECT_NEAR(rate / 1e6, 19.8, 0.3);
-}
-
-TEST(UplinkModulator, ToggleRateZeroForTinySchedules) {
-  EXPECT_DOUBLE_EQ(average_toggle_rate_hz(UplinkSchedule{}, 1e6), 0.0);
-  const auto s = build_uplink_schedule({OaqfmSymbol::k11});
-  EXPECT_DOUBLE_EQ(average_toggle_rate_hz(s, 1e6), 0.0);
-}
-
 TEST(UplinkModulator, RoundTripThroughDecide) {
   // Modulate then invert via uplink_decide: identity on all symbols.
   for (const auto sym : {OaqfmSymbol::k00, OaqfmSymbol::k01, OaqfmSymbol::k10,

@@ -14,7 +14,7 @@ class RandomWorlds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomWorlds, FullPacketProducesFiniteOutputs) {
   Rng master(GetParam());
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(GetParam(), 1);
   const MilBackLink link(channel::BackscatterChannel::make_default(
                              channel::Environment::indoor_office(
                                  env_rng, std::size_t(master.uniform_int(3, 12)))),
@@ -24,8 +24,8 @@ TEST_P(RandomWorlds, FullPacketProducesFiniteOutputs) {
   // even out-of-scan orientations).
   const channel::NodePose pose{master.uniform(0.5, 14.0), master.uniform(-30.0, 30.0),
                                master.uniform(-40.0, 40.0)};
-  auto rng = master.fork(2);
-  auto data = master.fork(3);
+  auto rng = Rng::stream(GetParam(), 2);
+  auto data = Rng::stream(GetParam(), 3);
   const auto bits = data.bits(256);
 
   const auto dir = master.bernoulli(0.5) ? LinkDirection::kUplink
@@ -61,7 +61,7 @@ TEST_P(RandomWorlds, FullPacketProducesFiniteOutputs) {
 
 TEST_P(RandomWorlds, BudgetsFiniteEverywhere) {
   Rng master(GetParam() + 1000);
-  auto env_rng = master.fork(1);
+  auto env_rng = Rng::stream(GetParam() + 1000, 1);
   const auto chan = channel::BackscatterChannel::make_default(
       channel::Environment::indoor_office(env_rng));
   rf::EnvelopeDetector det{rf::EnvelopeDetectorConfig{}};

@@ -1,9 +1,11 @@
 // Accumulator: order-stable reduction and agreement with util/stats.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
 #include <vector>
 
+#include "milback/core/contract.hpp"
 #include "milback/sim/accumulator.hpp"
 
 namespace milback::sim {
@@ -75,6 +77,12 @@ TEST(Accumulator, MergeConcatenatesInOrder) {
   a.merge(b);
   EXPECT_EQ(a.samples(), (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(a.misses(), 2u);
+}
+
+TEST(Accumulator, FractionBelowRejectsNan) {
+  Accumulator acc;
+  acc.add(1.0);
+  EXPECT_THROW((void)acc.fraction_below(std::nan("")), ContractViolation);
 }
 
 }  // namespace

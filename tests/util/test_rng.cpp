@@ -140,26 +140,6 @@ TEST(Rng, PhaseInRange) {
   }
 }
 
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(10);
-  Rng c1 = parent.fork(1);
-  Rng c2 = parent.fork(2);
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (c1.uniform(0.0, 1.0) == c2.uniform(0.0, 1.0)) ++same;
-  }
-  EXPECT_LT(same, 5);
-}
-
-TEST(Rng, ForkIsDeterministicGivenParentState) {
-  Rng p1(11), p2(11);
-  Rng c1 = p1.fork(42);
-  Rng c2 = p2.fork(42);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(c1.uniform(0.0, 1.0), c2.uniform(0.0, 1.0));
-  }
-}
-
 TEST(Rng, DefaultSeedIsFixed) {
   Rng a, b;
   EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
@@ -174,8 +154,8 @@ TEST(Rng, StreamIsAPureFunctionOfItsArguments) {
 }
 
 TEST(Rng, StreamIsIndependentOfConstructionOrder) {
-  // Unlike fork, stream never draws from a parent: deriving other streams
-  // first (in any order) must not change the one under test.
+  // stream never draws from a parent: deriving other streams first (in any
+  // order) must not change the one under test.
   Rng direct = Rng::stream(42, 5, 1);
   auto early = Rng::stream(42, 0, 0);
   auto other = Rng::stream(42, 9, 9);
@@ -212,11 +192,11 @@ TEST(Rng, StreamDiffersFromPlainSeedConstruction) {
 }
 
 TEST(Rng, StreamsAcrossSweepGridArePairwiseDistinct) {
-  // Regression for the ad-hoc bench seed arithmetic this replaced:
-  // fork((100 + trial) * 1009 + uint64(d * 13)) collides across (trial,
-  // distance) pairs because the distance term is truncated to a handful of
-  // values. A (seed, point, trial) stream grid must never collide: compare
-  // the first two draws of every cell over a fig12a-sized grid.
+  // Folding (trial, distance) into one arithmetic label, say
+  // (100 + trial) * 1009 + uint64(d * 13), collides across pairs because the
+  // distance term truncates to a handful of values. A (seed, point, trial)
+  // stream grid must never collide: compare the first two draws of every
+  // cell over a fig12a-sized grid.
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
   const std::size_t points = 8, trials = 25;
   for (std::size_t p = 0; p < points; ++p) {

@@ -26,11 +26,6 @@ TEST(Stats, VarianceDegenerate) {
   EXPECT_DOUBLE_EQ(variance(std::vector<double>{}), 0.0);
 }
 
-TEST(Stats, Rms) {
-  std::vector<double> xs{3.0, -4.0};
-  EXPECT_NEAR(rms(xs), std::sqrt(12.5), 1e-12);
-}
-
 TEST(Stats, MinMax) {
   std::vector<double> xs{3.0, -1.0, 7.0};
   EXPECT_DOUBLE_EQ(min_value(xs), -1.0);
@@ -86,25 +81,6 @@ TEST(Stats, EmpiricalCdfMonotone) {
     EXPECT_GE(cdf[i].value, cdf[i - 1].value);
     EXPECT_GT(cdf[i].probability, cdf[i - 1].probability);
   }
-}
-
-TEST(Stats, RunningMatchesBatch) {
-  std::vector<double> xs{1.0, -2.0, 3.5, 0.25, 9.0, -4.0};
-  RunningStats rs;
-  for (const double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rs.variance(), variance(xs), 1e-12);
-  EXPECT_NEAR(rs.stddev(), stddev(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), -4.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-}
-
-TEST(Stats, RunningEmpty) {
-  RunningStats rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
 }
 
 }  // namespace
