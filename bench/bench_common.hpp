@@ -6,9 +6,7 @@
 // argv[1] (default 42) and honor MILBACK_CSV_DIR for raw series dumps.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -17,6 +15,7 @@
 #include "milback/sim/accumulator.hpp"
 #include "milback/sim/sweep.hpp"
 #include "milback/sim/trial_runner.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/csv.hpp"
 #include "milback/util/rng.hpp"
 #include "milback/util/stats.hpp"
@@ -24,21 +23,10 @@
 
 namespace milback::bench {
 
-/// Parses the bench seed from argv (default 42). A malformed argument exits
-/// with a usage message instead of silently running seed 0 (strtoull's
-/// failure value) while the banner claims otherwise.
+/// Parses the bench seed from argv (default 42); a malformed argument exits 2
+/// with a usage message (milback::parse_seed).
 inline std::uint64_t parse_seed(int argc, char** argv) {
-  if (argc <= 1) return 42;
-  const char* arg = argv[1];
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (arg[0] == '-' || end == arg || *end != '\0' || errno == ERANGE) {
-    std::cerr << "usage: " << argv[0] << " [seed]\n"
-              << "  seed must be a non-negative integer, got '" << arg << "'\n";
-    std::exit(2);
-  }
-  return v;
+  return milback::parse_seed(argc, argv, 42);
 }
 
 /// Prints the standard bench banner.

@@ -20,18 +20,18 @@
 // 16 cells x 10k nodes against its 256-byte budget.
 //
 // Build & run:  ./build/examples/campus_network [seed]
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "milback/cell/multi_cell.hpp"
 #include "milback/channel/multipath.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 47;
+  const std::uint64_t seed = parse_seed(argc, argv, 47);
   Rng env_rng(5);
 
   cell::MultiCellConfig cfg;

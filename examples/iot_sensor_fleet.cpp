@@ -16,12 +16,13 @@
 #include "milback/cell/cell_engine.hpp"
 #include "milback/core/energy.hpp"
 #include "milback/core/link.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 31;
+  const std::uint64_t seed = parse_seed(argc, argv, 31);
   auto env_rng = Rng::stream(seed, 1);
   const core::MilBackLink link(channel::BackscatterChannel::make_default(
                                    channel::Environment::indoor_office(env_rng)),

@@ -8,22 +8,25 @@
 //
 // Usage:  ./build/examples/link_budget_explorer [distance_m] [orientation_deg]
 //         defaults: 4.0 m, 15 deg
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
 #include "milback/core/fec.hpp"
 #include "milback/core/oaqfm_dense.hpp"
 #include "milback/node/power_model.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 #include "milback/util/units.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const double distance = argc > 1 ? std::strtod(argv[1], nullptr) : 4.0;
-  const double orientation = argc > 2 ? std::strtod(argv[2], nullptr) : 15.0;
+  const char* usage = "[distance_m] [orientation_deg]";
+  const double distance = parse_number(argc, argv, 1, 4.0, 0.0, usage);
+  const double orientation = parse_number(argc, argv, 2, 15.0,
+                                          -std::numeric_limits<double>::infinity(), usage);
 
   const auto chan =
       channel::BackscatterChannel::make_default(channel::Environment::anechoic());

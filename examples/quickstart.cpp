@@ -13,12 +13,13 @@
 
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/link.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  const std::uint64_t seed = parse_seed(argc, argv, 7);
 
   // --- 1. Assemble the world: AP hardware, FSA node antenna, cluttered room.
   auto env_rng = Rng::stream(seed, 1);

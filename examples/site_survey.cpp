@@ -12,6 +12,7 @@
 
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/rng.hpp"
 #include "milback/util/table.hpp"
 #include "milback/util/units.hpp"
@@ -38,7 +39,7 @@ char classify_downlink(double sinr_db) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
+  const std::uint64_t seed = parse_seed(argc, argv, 5);
   auto env_rng = Rng::stream(seed, 1);
   const auto chan = channel::BackscatterChannel::make_default(
       channel::Environment::indoor_office(env_rng));

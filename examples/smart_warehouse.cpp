@@ -28,12 +28,13 @@
 
 #include "milback/cell/cell_engine.hpp"
 #include "milback/obs/exporters.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
+  const std::uint64_t seed = parse_seed(argc, argv, 23);
 
   const core::NetworkConfig net_cfg{};
   auto env_rng = Rng::stream(seed, 1);

@@ -16,12 +16,13 @@
 #include "milback/core/energy.hpp"
 #include "milback/core/link.hpp"
 #include "milback/core/tracker.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+  const std::uint64_t seed = parse_seed(argc, argv, 11);
   auto env_rng = Rng::stream(seed, 1);
   core::MilBackLink link(channel::BackscatterChannel::make_default(
                              channel::Environment::indoor_office(env_rng)),

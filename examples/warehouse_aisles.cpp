@@ -15,7 +15,6 @@
 // report a bay-accurate position without ever seeing the radar.
 //
 // Build & run:  ./build/examples/warehouse_aisles [seed]
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -23,13 +22,14 @@
 #include "milback/cell/cell_engine.hpp"
 #include "milback/channel/multipath.hpp"
 #include "milback/mesh/mesh.hpp"
+#include "milback/util/cli.hpp"
 #include "milback/util/table.hpp"
 #include "milback/util/units.hpp"
 
 using namespace milback;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = parse_seed(argc, argv, 42);
   Rng env_rng(5);
   cell::CellEngine engine(channel::BackscatterChannel::make_default(
                               channel::Environment::indoor_office(env_rng)),

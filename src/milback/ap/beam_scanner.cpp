@@ -11,15 +11,6 @@ namespace milback::ap {
 
 BeamScanner::BeamScanner(const BeamScanConfig& config) : config_(config) {}
 
-std::size_t BeamScanner::grid_size() const noexcept {
-  if (config_.step_deg <= 0.0 || config_.max_azimuth_deg <= config_.min_azimuth_deg) {
-    return 0;
-  }
-  return std::size_t((config_.max_azimuth_deg - config_.min_azimuth_deg) /
-                     config_.step_deg) +
-         1;
-}
-
 double BeamScanner::steered_snr_db(const channel::BackscatterChannel& channel,
                                    const channel::NodePose& pose,
                                    double steering_deg) const {

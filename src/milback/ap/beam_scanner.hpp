@@ -48,9 +48,6 @@ class BeamScanner {
                                   const std::vector<channel::NodePose>& nodes,
                                   milback::Rng& rng) const;
 
-  /// Number of steering positions a full sweep visits.
-  std::size_t grid_size() const noexcept;
-
   /// Config echo.
   const BeamScanConfig& config() const noexcept { return config_; }
 

@@ -1,14 +1,12 @@
 #include "milback/baselines/millimetro.hpp"
 
-#include "milback/channel/propagation.hpp"
-#include "milback/core/contract.hpp"
-#include "milback/rf/noise.hpp"
+#include "milback/baselines/van_atta.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::baselines {
 
 Millimetro::Millimetro(const MillimetroConfig& config)
-    : config_(config), antenna_(config.antenna) {}
+    : config_(config) {}
 
 Capabilities Millimetro::capabilities() const {
   return Capabilities{.uplink = false,
@@ -19,18 +17,6 @@ Capabilities Millimetro::capabilities() const {
 
 std::optional<double> Millimetro::uplink_snr_db(double, double) const {
   return std::nullopt;  // identity beacon only; no data uplink
-}
-
-double Millimetro::localization_snr_db(double distance_m) const {
-  require_positive(distance_m, "distance_m");
-  const double retro = antenna_.retro_gain_db(0.0);
-  const double fspl = channel::fspl_db(distance_m, config_.carrier_hz);
-  const double rx_dbm = config_.radar_tx_power_dbm + 2.0 * config_.radar_gain_dbi +
-                        retro - 2.0 * fspl - config_.implementation_loss_db;
-  // Detection bandwidth tied to the beacon switching rate.
-  const double noise_dbm =
-      rf::noise_floor_dbm(config_.beacon_rate_bps * 2.0, config_.rx_noise_figure_db);
-  return rx_dbm - noise_dbm + config_.coherent_processing_gain_db;
 }
 
 double Millimetro::range_resolution_m() const {

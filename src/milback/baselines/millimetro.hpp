@@ -6,21 +6,12 @@
 #pragma once
 
 #include "milback/baselines/capability.hpp"
-#include "milback/baselines/van_atta.hpp"
 
 namespace milback::baselines {
 
 /// Millimetro model parameters.
 struct MillimetroConfig {
-  VanAttaConfig antenna{};
-  double radar_tx_power_dbm = 12.0;   ///< Commodity radar front end.
-  double radar_gain_dbi = 15.0;
-  double carrier_hz = 24.0e9;
   double chirp_bandwidth_hz = 250e6;  ///< Commodity FMCW radar sweep.
-  double implementation_loss_db = 15.0;
-  double rx_noise_figure_db = 12.0;
-  double coherent_processing_gain_db = 35.0;  ///< Long integration across chirps.
-  double beacon_rate_bps = 1e3;       ///< Identity switching, not a data link.
 };
 
 /// Localization-only retro-reflective tag.
@@ -36,10 +27,6 @@ class Millimetro final : public BackscatterSystem {
   std::optional<double> energy_per_bit_nj() const override { return std::nullopt; }
   double max_uplink_rate_bps() const override { return 0.0; }
 
-  /// Radar detection SNR [dB] of the tag at `distance_m` (what localization
-  /// quality rides on).
-  double localization_snr_db(double distance_m) const;
-
   /// FMCW range resolution [m] of the commodity radar sweep.
   double range_resolution_m() const;
 
@@ -48,7 +35,6 @@ class Millimetro final : public BackscatterSystem {
 
  private:
   MillimetroConfig config_;
-  VanAttaArray antenna_;
 };
 
 }  // namespace milback::baselines

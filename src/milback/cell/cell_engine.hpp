@@ -76,9 +76,10 @@ struct CellConfig {
                                       ///< bit-identical).
   int sweep_threads = 0;              ///< TrialRunner workers for the per-sweep
                                       ///< fan-out: 0 = MILBACK_SIM_THREADS /
-                                      ///< hardware default; >= 1 pins. The
-                                      ///< MultiCellEngine pins 1 — parallelism
-                                      ///< is across cells, not within one.
+                                      ///< hardware default; >= 1 pins. Inside
+                                      ///< an outer TrialRunner region (a Sweep
+                                      ///< trial, a MultiCellEngine epoch) the
+                                      ///< fan-out runs inline.
 };
 
 /// Per-node outcome of a run.

@@ -49,9 +49,6 @@ MultiCellEngine::MultiCellEngine(const channel::BackscatterChannel& prototype,
     require_finite(config_.aps[c].y_m, "ap.y_m");
     CellConfig cfg = config_.cell;
     cfg.cell_index = static_cast<std::int64_t>(c);
-    // One worker per shard: parallelism is across cells, and nesting a
-    // thread pool per sweep inside the per-epoch fan-out would oversubscribe.
-    cfg.sweep_threads = 1;
     engines_.push_back(std::make_unique<CellEngine>(prototype, cfg));
     const std::string label = "cell.c" + std::to_string(c) + ".";
     // Per-cell coupling gauges, written only from the serial epoch barrier

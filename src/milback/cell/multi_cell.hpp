@@ -10,7 +10,7 @@
 //
 // Coupling is epoch-synchronous. Simulated time advances in fixed epochs;
 // within an epoch every cell dispatches its own events independently (cells
-// are parallel tasks, each with its sweep fan-out pinned to one worker), and
+// are parallel tasks whose sweep fan-outs run inline on the cell's worker), and
 // at the barrier the driver serially applies the cross-cell physics:
 //
 //   * Handoff — a node whose mobility carried it outside its serving cell's
@@ -61,8 +61,8 @@ struct GlobalPose {
 
 /// Multi-cell tuning.
 struct MultiCellConfig {
-  CellConfig cell{};               ///< Per-shard tuning (cell_index and
-                                   ///< sweep_threads are overwritten).
+  CellConfig cell{};               ///< Per-shard tuning (cell_index is
+                                   ///< overwritten).
   std::vector<ApSite> aps;         ///< One cell per AP; at least one.
   double epoch_s = 0.02;           ///< Barrier interval [s].
   double coverage_radius_m = 10.0; ///< Beyond this range a node hands off

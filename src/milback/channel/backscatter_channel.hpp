@@ -146,7 +146,6 @@ class BackscatterChannel {
   /// queries. Set serially (e.g. by the cell engine before fanning a service
   /// sweep out to workers) so traced path sets stay thread-invariant.
   void set_path_time_s(double time_s);
-  double path_time_s() const noexcept { return path_time_s_; }
 
   /// Traces the current path set to the node (records path-census obs).
   PathSet node_path_set(const NodePose& pose) const;
@@ -212,8 +211,6 @@ class BackscatterChannel {
   const antenna::DualPortFsa& fsa() const noexcept { return fsa_; }
   const rf::HornAntenna& ap_tx_antenna() const noexcept { return ap_tx_; }
   const rf::HornAntenna& ap_rx_antenna() const noexcept { return ap_rx_; }
-  const Environment& environment() const noexcept { return environment_; }
-  Environment& environment() noexcept { return environment_; }
 
  private:
   /// One-way gain/loss of an indirect path relative to the ideal unblocked

@@ -41,14 +41,8 @@ double radar_return_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_
   return num_db - den_db;
 }
 
-double one_way_delay_s(double distance_m) noexcept { return distance_m / kSpeedOfLight; }
-
 double round_trip_delay_s(double distance_m) noexcept {
   return 2.0 * distance_m / kSpeedOfLight;
-}
-
-double round_trip_phase_rad(double distance_m, double frequency_hz) {
-  return wrap_radians(2.0 * kPi * frequency_hz * round_trip_delay_s(distance_m));
 }
 
 }  // namespace milback::channel

@@ -25,13 +25,7 @@ double backscatter_dbm(double tx_power_dbm, double ap_tx_gain_dbi, double ap_rx_
 double radar_return_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
                         double rcs_m2, double distance_m, double frequency_hz);
 
-/// One-way propagation delay [s].
-double one_way_delay_s(double distance_m) noexcept;
-
 /// Round-trip propagation delay [s].
 double round_trip_delay_s(double distance_m) noexcept;
-
-/// Round-trip phase [radians] at `frequency_hz` over `distance_m`.
-double round_trip_phase_rad(double distance_m, double frequency_hz);
 
 }  // namespace milback::channel

@@ -14,26 +14,8 @@ double ber_ook_noncoherent(double snr_linear) noexcept {
   return std::min(0.5 * std::exp(-snr_linear / 2.0), 0.5);
 }
 
-double ber_ook_coherent(double snr_linear) noexcept {
-  if (snr_linear <= 0.0) return 0.5;
-  return q_function(std::sqrt(snr_linear) / 2.0);
-}
-
-double ber_ook_noncoherent_db(double snr_db) noexcept {
-  return ber_ook_noncoherent(db2lin(snr_db));
-}
-
-double ber_ook_coherent_db(double snr_db) noexcept {
-  return ber_ook_coherent(db2lin(snr_db));
-}
-
 double ber_oaqfm(double snr_a_linear, double snr_b_linear) noexcept {
   return 0.5 * (ber_ook_noncoherent(snr_a_linear) + ber_ook_noncoherent(snr_b_linear));
-}
-
-double snr_for_ber_noncoherent(double target_ber) noexcept {
-  const double ber = std::clamp(target_ber, 1e-300, 0.5);
-  return -2.0 * std::log(2.0 * ber);
 }
 
 double empirical_ber(std::size_t bit_errors, std::size_t total_bits) noexcept {

@@ -18,19 +18,8 @@ double q_function(double x) noexcept;
 /// Noncoherent (envelope-detected) OOK BER at peak SNR `snr_linear`.
 double ber_ook_noncoherent(double snr_linear) noexcept;
 
-/// Coherent OOK BER at peak SNR `snr_linear` (threshold at half amplitude).
-double ber_ook_coherent(double snr_linear) noexcept;
-
-/// dB-input convenience wrappers.
-double ber_ook_noncoherent_db(double snr_db) noexcept;
-/// Coherent variant with dB input.
-double ber_ook_coherent_db(double snr_db) noexcept;
-
 /// OAQFM bit error rate given the two tones' peak SNRs (linear).
 double ber_oaqfm(double snr_a_linear, double snr_b_linear) noexcept;
-
-/// Peak SNR [linear] needed for a target noncoherent-OOK BER.
-double snr_for_ber_noncoherent(double target_ber) noexcept;
 
 /// Empirical BER from error counts with a floor of 0 for exact agreement.
 double empirical_ber(std::size_t bit_errors, std::size_t total_bits) noexcept;

@@ -24,7 +24,13 @@ std::size_t count_bit_errors(const std::vector<bool>& tx, const std::vector<bool
 }  // namespace
 
 MilBackLink::MilBackLink(channel::BackscatterChannel channel, LinkConfig config)
-    : channel_(std::move(channel)), config_(config), ap_(config.ap), node_(config.node) {
+    : channel_(std::move(channel)),
+      config_(config),
+      localizer_(config.ap.localizer),
+      orientation_(config.ap.orientation),
+      downlink_(config.ap.downlink),
+      uplink_(config.ap.uplink),
+      node_(config.node) {
   require_positive(config_.downlink_bit_rate_bps, "downlink_bit_rate_bps");
   require_positive(config_.uplink_bit_rate_bps, "uplink_bit_rate_bps");
   require_positive(config_.node_sim_rate_hz, "node_sim_rate_hz");
@@ -33,12 +39,12 @@ MilBackLink::MilBackLink(channel::BackscatterChannel channel, LinkConfig config)
 
 ap::LocalizationResult MilBackLink::localize(const channel::NodePose& pose,
                                              milback::Rng& rng) const {
-  return ap_.localize(channel_, pose, rng);
+  return localizer_.localize(channel_, pose, rng);
 }
 
 ap::ApOrientationResult MilBackLink::sense_orientation_at_ap(const channel::NodePose& pose,
                                                              milback::Rng& rng) const {
-  return ap_.sense_orientation(channel_, pose, rng);
+  return orientation_.estimate(channel_, pose, rng);
 }
 
 std::vector<double> MilBackLink::field1_port_power(const channel::NodePose& pose,
@@ -116,41 +122,41 @@ DownlinkRunResult MilBackLink::run_downlink(const channel::NodePose& pose,
   DownlinkRunResult result;
   result.bits_sent = bits.size();
 
-  const auto orient = ap_.sense_orientation(channel_, pose, rng);
+  const auto orient = orientation_.estimate(channel_, pose, rng);
   if (!orient.valid) return result;
   result.orientation_estimate_deg = orient.orientation_deg;
 
-  const auto carriers = ap_.select_carriers(channel_.fsa(), orient.orientation_deg);
+  const auto carriers = ap::select_carriers(channel_.fsa(), orient.orientation_deg,
+                                            config_.ap.downlink.min_tone_separation_hz);
   if (!carriers) return result;
   result.carriers_ok = true;
   result.carriers = *carriers;
   result.mode = carriers->mode;
 
-  const auto& dl = ap_.downlink();
-  const double fs = dl.config().symbol_rate_hz * double(dl.config().oversample);
+  const double fs = downlink_.config().symbol_rate_hz * double(downlink_.config().oversample);
   const double through = node_.rf_switch(FsaPort::kA).through_power(rf::SwitchState::kAbsorb);
 
   std::vector<bool> rx_bits;
   if (carriers->mode == ModulationMode::kOaqfm) {
     const auto symbols = symbols_from_bits(bits);
-    auto waveforms = dl.synthesize(channel_, pose, *carriers, symbols);
+    auto waveforms = downlink_.synthesize(channel_, pose, *carriers, symbols);
     for (auto& p : waveforms.power_a_w) p *= through;
     for (auto& p : waveforms.power_b_w) p *= through;
     const auto va = node_.detector(FsaPort::kA).detect(waveforms.power_a_w, fs, rng);
     const auto vb = node_.detector(FsaPort::kB).detect(waveforms.power_b_w, fs, rng);
-    node::DownlinkDemodConfig demod{.symbol_rate_hz = dl.config().symbol_rate_hz,
+    node::DownlinkDemodConfig demod{.symbol_rate_hz = downlink_.config().symbol_rate_hz,
                                     .sample_point = 0.75,
                                     .mode = ModulationMode::kOaqfm};
     const auto decision = node::demodulate_downlink(va, vb, fs, demod);
     rx_bits = bits_from_symbols(decision.symbols);
     rx_bits.resize(std::min(rx_bits.size(), bits.size()));
   } else {
-    auto waveforms = dl.synthesize_ook(channel_, pose, *carriers, bits);
+    auto waveforms = downlink_.synthesize_ook(channel_, pose, *carriers, bits);
     for (auto& p : waveforms.power_a_w) p *= through;
     for (auto& p : waveforms.power_b_w) p *= through;
     const auto va = node_.detector(FsaPort::kA).detect(waveforms.power_a_w, fs, rng);
     const auto vb = node_.detector(FsaPort::kB).detect(waveforms.power_b_w, fs, rng);
-    node::DownlinkDemodConfig demod{.symbol_rate_hz = dl.config().symbol_rate_hz,
+    node::DownlinkDemodConfig demod{.symbol_rate_hz = downlink_.config().symbol_rate_hz,
                                     .sample_point = 0.75,
                                     .mode = ModulationMode::kOok};
     rx_bits = node::demodulate_downlink_ook(va, vb, fs, demod);
@@ -186,18 +192,18 @@ DownlinkRunResult MilBackLink::run_downlink_dense(const channel::NodePose& pose,
   result.bits_sent = bits.size();
   if (!valid_levels(levels)) return result;
 
-  const auto orient = ap_.sense_orientation(channel_, pose, rng);
+  const auto orient = orientation_.estimate(channel_, pose, rng);
   if (!orient.valid) return result;
   result.orientation_estimate_deg = orient.orientation_deg;
 
-  const auto carriers = ap_.select_carriers(channel_.fsa(), orient.orientation_deg);
+  const auto carriers = ap::select_carriers(channel_.fsa(), orient.orientation_deg,
+                                            config_.ap.downlink.min_tone_separation_hz);
   if (!carriers || carriers->mode != ModulationMode::kOaqfm) return result;
   result.carriers_ok = true;
   result.carriers = *carriers;
   result.mode = ModulationMode::kOaqfm;
 
-  const auto& dl = ap_.downlink();
-  const double fs = dl.config().symbol_rate_hz * double(dl.config().oversample);
+  const double fs = downlink_.config().symbol_rate_hz * double(downlink_.config().oversample);
   const double through = node_.rf_switch(FsaPort::kA).through_power(rf::SwitchState::kAbsorb);
 
   // Prefix two full-scale reference symbols so the node's slicer can learn
@@ -207,12 +213,12 @@ DownlinkRunResult MilBackLink::run_downlink_dense(const channel::NodePose& pose,
   const auto data = dense_symbols_from_bits(bits, levels);
   symbols.insert(symbols.end(), data.begin(), data.end());
 
-  auto waveforms = dl.synthesize_dense(channel_, pose, *carriers, symbols, levels);
+  auto waveforms = downlink_.synthesize_dense(channel_, pose, *carriers, symbols, levels);
   for (auto& p : waveforms.power_a_w) p *= through;
   for (auto& p : waveforms.power_b_w) p *= through;
   const auto va = node_.detector(FsaPort::kA).detect(waveforms.power_a_w, fs, rng);
   const auto vb = node_.detector(FsaPort::kB).detect(waveforms.power_b_w, fs, rng);
-  node::DownlinkDemodConfig demod{.symbol_rate_hz = dl.config().symbol_rate_hz,
+  node::DownlinkDemodConfig demod{.symbol_rate_hz = downlink_.config().symbol_rate_hz,
                                   .sample_point = 0.75,
                                   .mode = ModulationMode::kOaqfm};
   auto rx_symbols = node::demodulate_downlink_dense(va, vb, fs, demod, levels);
@@ -250,17 +256,18 @@ UplinkRunResult MilBackLink::run_uplink(const channel::NodePose& pose,
   result.bits_sent = bits.size();
   const double rate = bit_rate_bps > 0.0 ? bit_rate_bps : config_.uplink_bit_rate_bps;
 
-  const auto orient = ap_.sense_orientation(channel_, pose, rng);
+  const auto orient = orientation_.estimate(channel_, pose, rng);
   if (!orient.valid) return result;
   result.orientation_estimate_deg = orient.orientation_deg;
 
-  const auto carriers = ap_.select_carriers(channel_.fsa(), orient.orientation_deg);
+  const auto carriers = ap::select_carriers(channel_.fsa(), orient.orientation_deg,
+                                            config_.ap.downlink.min_tone_separation_hz);
   if (!carriers) return result;
   result.carriers_ok = true;
   result.carriers = *carriers;
   result.mode = carriers->mode;
 
-  ap::UplinkRxConfig rx_cfg = ap_.config().uplink;
+  ap::UplinkRxConfig rx_cfg = uplink_.config();
   rx_cfg.symbol_rate_hz = rate / double(bits_per_symbol(carriers->mode));
   const ap::UplinkReceiver receiver(rx_cfg);
 

@@ -2,6 +2,12 @@
 // composed into the paper's workflows (localize, sense orientation at both
 // ends, downlink, uplink, and the full Section-7 packet exchange).
 //
+// The link holds the AP's four processing engines (localizer, orientation
+// sensor, downlink transmitter, uplink receiver) directly. The AP's RF
+// hardware (generator, PA, LNAs, mixers, filters, scope) enters as
+// calibrated link-budget terms in channel::ChannelConfig plus the channel's
+// horn antennas.
+//
 // Every run_* method is a self-contained Monte-Carlo trial: it synthesizes
 // the relevant waveforms through the channel with the supplied RNG, runs the
 // real demodulation pipelines, and reports both measured outcomes and the
@@ -11,7 +17,10 @@
 #include <optional>
 #include <vector>
 
-#include "milback/ap/ap.hpp"
+#include "milback/ap/downlink_transmitter.hpp"
+#include "milback/ap/localizer.hpp"
+#include "milback/ap/orientation_sensor.hpp"
+#include "milback/ap/uplink_receiver.hpp"
 #include "milback/channel/backscatter_channel.hpp"
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/oaqfm_dense.hpp"
@@ -20,6 +29,18 @@
 #include "milback/node/node.hpp"
 #include "milback/node/orientation_estimator.hpp"
 #include "milback/node/uplink_modulator.hpp"
+
+namespace milback::ap {
+
+/// Configuration of the AP's four processing engines.
+struct ApConfig {
+  LocalizerConfig localizer{};
+  OrientationSensorConfig orientation{};
+  DownlinkTxConfig downlink{};
+  UplinkRxConfig uplink{};
+};
+
+}  // namespace milback::ap
 
 namespace milback::core {
 
@@ -124,7 +145,6 @@ class MilBackLink {
   /// Component access.
   const channel::BackscatterChannel& channel() const noexcept { return channel_; }
   channel::BackscatterChannel& channel() noexcept { return channel_; }
-  const ap::MilBackAp& access_point() const noexcept { return ap_; }
   const node::MilBackNode& node() const noexcept { return node_; }
   const LinkConfig& config() const noexcept { return config_; }
 
@@ -136,7 +156,10 @@ class MilBackLink {
 
   channel::BackscatterChannel channel_;
   LinkConfig config_;
-  ap::MilBackAp ap_;
+  ap::Localizer localizer_;
+  ap::ApOrientationSensor orientation_;
+  ap::DownlinkTransmitter downlink_;
+  ap::UplinkReceiver uplink_;
   node::MilBackNode node_;
 };
 

@@ -37,20 +37,6 @@ std::vector<bool> bits_from_symbols(const std::vector<OaqfmSymbol>& symbols) {
   return out;
 }
 
-std::size_t bit_errors(const std::vector<OaqfmSymbol>& tx,
-                       const std::vector<OaqfmSymbol>& rx) {
-  const std::size_t common = std::min(tx.size(), rx.size());
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < common; ++i) {
-    const auto diff = static_cast<std::uint8_t>(tx[i]) ^ static_cast<std::uint8_t>(rx[i]);
-    errors += std::size_t((diff & 0b01) != 0) + std::size_t((diff & 0b10) != 0);
-  }
-  errors += 2 * (std::max(tx.size(), rx.size()) - common);
-  MILBACK_ENSURE(errors <= 2 * std::max(tx.size(), rx.size()),
-                 "bit_errors: bounded by total bit count");
-  return errors;
-}
-
 // milback-analyze: no-contract(total over the symbol alphabet; unknown values render as ??)
 std::string to_string(OaqfmSymbol s) {
   switch (s) {

@@ -86,12 +86,6 @@ std::vector<OaqfmSymbol> symbols_from_bits(const std::vector<bool>& bits);
 /// Unpacks symbols back to bits (2 per symbol, MSB first).
 std::vector<bool> bits_from_symbols(const std::vector<OaqfmSymbol>& symbols);
 
-/// Hamming distance in bits between transmitted and received symbol streams
-/// (compared up to the shorter length; length mismatch counts missing
-/// symbols as 2 bit errors each).
-std::size_t bit_errors(const std::vector<OaqfmSymbol>& tx,
-                       const std::vector<OaqfmSymbol>& rx);
-
 /// Human-readable "00".."11".
 std::string to_string(OaqfmSymbol s);
 

@@ -74,18 +74,6 @@ std::vector<bool> dense_bits_from_symbols(const std::vector<DenseSymbol>& symbol
   return out;
 }
 
-std::size_t dense_bit_errors(const std::vector<DenseSymbol>& tx,
-                             const std::vector<DenseSymbol>& rx, unsigned levels) {
-  const auto tx_bits = dense_bits_from_symbols(tx, levels);
-  const auto rx_bits = dense_bits_from_symbols(rx, levels);
-  const std::size_t common = std::min(tx_bits.size(), rx_bits.size());
-  std::size_t errors = std::max(tx_bits.size(), rx_bits.size()) - common;
-  for (std::size_t i = 0; i < common; ++i) errors += std::size_t(tx_bits[i] != rx_bits[i]);
-  MILBACK_ENSURE(errors <= std::max(tx_bits.size(), rx_bits.size()),
-                 "dense_bit_errors: bounded by total bit count");
-  return errors;
-}
-
 double ber_dense_ask(double snr_linear, unsigned levels) {
   require_finite(snr_linear, "snr_linear");
   if (!valid_levels(levels) || snr_linear <= 0.0) return 0.5;

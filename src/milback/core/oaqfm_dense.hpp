@@ -52,11 +52,6 @@ inline double level_power_fraction(unsigned k, unsigned levels) noexcept {
   return double(std::min(k, levels - 1)) / double(levels - 1);
 }
 
-/// Transmit amplitude fraction of level k: sqrt(level_power_fraction).
-inline double level_amplitude_fraction(unsigned k, unsigned levels) noexcept {
-  return std::sqrt(level_power_fraction(k, levels));
-}
-
 /// Nearest-level slicer for a measured detector voltage, given the observed
 /// full-scale voltage (level L-1). Returns a level in [0, L-1].
 // milback-analyze: no-contract(degenerate full-scale or level count is defined to slice to level 0)
@@ -81,10 +76,6 @@ std::vector<bool> dense_bits_from_symbols(const std::vector<DenseSymbol>& symbol
 std::uint8_t gray_encode(std::uint8_t v) noexcept;
 /// Inverse of gray_encode.
 std::uint8_t gray_decode(std::uint8_t g) noexcept;
-
-/// Bit errors between transmitted and received dense streams.
-std::size_t dense_bit_errors(const std::vector<DenseSymbol>& tx,
-                             const std::vector<DenseSymbol>& rx, unsigned levels);
 
 /// Approximate per-tone symbol-error-driven BER of L-level power-domain ASK
 /// at full-scale decision SNR `snr_linear` = (V_fullscale / sigma_v)^2,

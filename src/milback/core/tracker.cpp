@@ -73,14 +73,6 @@ const TrackState& NodeTracker::update(const ap::LocalizationResult& fix,
   return state_;
 }
 
-TrackState NodeTracker::predict(double dt_s) const {
-  require_finite(dt_s, "dt_s");
-  TrackState s = state_;
-  s.x_m += s.vx_mps * dt_s;
-  s.y_m += s.vy_mps * dt_s;
-  return s;
-}
-
 bool NodeTracker::healthy() const noexcept {
   return initialized_ && state_.coasting <= config_.max_coast;
 }

@@ -57,9 +57,6 @@ class NodeTracker {
   const TrackState& update(const ap::LocalizationResult& fix,
                            const std::optional<double>& orientation_deg);
 
-  /// Predicts the state `dt` ahead without mutating the track.
-  TrackState predict(double dt_s) const;
-
   /// Whether the track has initialized and is not lost.
   bool healthy() const noexcept;
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "milback/core/contract.hpp"
-
 namespace milback::dsp {
 
 OnePoleLowpass::OnePoleLowpass(double tau_samples) noexcept {
@@ -13,13 +11,6 @@ OnePoleLowpass::OnePoleLowpass(double tau_samples) noexcept {
 double OnePoleLowpass::step(double x) noexcept {
   y_ += alpha_ * (x - y_);
   return y_;
-}
-
-std::vector<double> OnePoleLowpass::process(const std::vector<double>& x) {
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = step(x[i]);
-  MILBACK_ENSURE(y.size() == x.size(), "process: elementwise shape preserved");
-  return y;
 }
 
 }  // namespace milback::dsp

@@ -2,8 +2,6 @@
 // behaviour.
 #pragma once
 
-#include <vector>
-
 namespace milback::dsp {
 
 /// Single-pole low-pass IIR: models RC-limited rise/fall time of envelope
@@ -15,15 +13,6 @@ class OnePoleLowpass {
 
   /// Processes one sample.
   double step(double x) noexcept;
-
-  /// Filters a whole vector (stateful across the call).
-  std::vector<double> process(const std::vector<double>& x);
-
-  /// Resets internal state to `y0`.
-  void reset(double y0 = 0.0) noexcept { y_ = y0; }
-
-  /// Smoothing coefficient alpha in y += alpha*(x-y).
-  double alpha() const noexcept { return alpha_; }
 
  private:
   double alpha_ = 1.0;

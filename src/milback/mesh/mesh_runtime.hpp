@@ -73,16 +73,8 @@ class MeshRuntime {
                std::span<const std::uint8_t> alive,
                std::span<const double> rate_bps, double time_s);
 
-  /// Whether node `i` currently has a multi-hop route (false for direct
-  /// nodes only when they are also unrouted — direct nodes are hop 1).
-  bool has_route(std::size_t i) const noexcept {
-    return routes_.reachable(i);
-  }
   std::uint32_t hop_count(std::size_t i) const noexcept {
     return i < routes_.routes.size() ? routes_.routes[i].hop_count : 0;
-  }
-  std::uint32_t next_hop(std::size_t i) const noexcept {
-    return i < routes_.routes.size() ? routes_.routes[i].next_hop : kNoNode;
   }
 
   /// Offers `bits` of node `origin`'s backlog to its first relay. Returns

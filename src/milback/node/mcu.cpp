@@ -1,20 +1,11 @@
 #include "milback/node/mcu.hpp"
 
-#include <algorithm>
-
 namespace milback::node {
 
 Mcu::Mcu(const McuConfig& config) : config_(config), adc_(config.adc) {}
 
 std::vector<double> Mcu::sample(const std::vector<double>& v, double input_rate_hz) const {
   return adc_.sample(v, input_rate_hz);
-}
-
-// milback-analyze: no-contract(total over any trace; empty input is defined to return 0)
-double Mcu::midpoint_threshold(const std::vector<double>& v) noexcept {
-  if (v.empty()) return 0.0;
-  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-  return 0.5 * (*lo + *hi);
 }
 
 }  // namespace milback::node

@@ -26,10 +26,6 @@ class Mcu {
   /// MCU ADC rate with quantization.
   std::vector<double> sample(const std::vector<double>& v, double input_rate_hz) const;
 
-  /// Midpoint threshold between the observed min and max of a trace —
-  /// the node's cheap slicer for OOK/OAQFM decisions.
-  static double midpoint_threshold(const std::vector<double>& v) noexcept;
-
   /// ADC in use.
   const rf::Adc& adc() const noexcept { return adc_; }
 

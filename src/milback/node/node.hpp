@@ -6,6 +6,9 @@
 // shifters, amplifiers, oscillators or mixers anywhere. The FSA itself is
 // the channel's (channel::BackscatterChannel::fsa()): it shapes every trace
 // the node sees, so the node estimates against that same pattern.
+//
+// The node holds no switch state or mode: callers name the switch state on
+// every rf::RfSwitch query and the mode on every node_power_w() call.
 #pragma once
 
 #include "milback/antenna/fsa.hpp"
@@ -25,42 +28,12 @@ struct NodeConfig {
   double localization_toggle_hz = 10e3;  ///< Port switching rate in Field 2.
 };
 
-/// The backscatter node behind the channel's FSA: two switches + two
-/// detectors + MCU.
+/// The backscatter node behind the channel's FSA: two stateless switches +
+/// two detectors + MCU.
 class MilBackNode {
  public:
   /// Assembles the node from its configuration.
   explicit MilBackNode(const NodeConfig& config = {});
-
-  /// Routes one port's switch.
-  void set_port(antenna::FsaPort port, rf::SwitchState state) noexcept;
-
-  /// Current switch state of a port.
-  rf::SwitchState port_state(antenna::FsaPort port) const noexcept;
-
-  /// Sets both ports at once (the common protocol transitions).
-  void set_ports(rf::SwitchState a, rf::SwitchState b) noexcept;
-
-  /// Power reflection coefficient currently presented by a port (switch
-  /// state dependent).
-  double reflection_power(antenna::FsaPort port) const noexcept;
-
-  /// Power reflection coefficient a port would present in `state`.
-  double reflection_power(antenna::FsaPort port, rf::SwitchState state) const noexcept;
-
-  /// Fraction of the power entering a port that reaches its detector now.
-  double through_power(antenna::FsaPort port) const noexcept;
-
-  /// Enters the mode's canonical switch configuration and updates the mode
-  /// used for power accounting.
-  void enter_mode(NodeMode mode) noexcept;
-
-  /// Mode used for power accounting.
-  NodeMode mode() const noexcept { return mode_; }
-
-  /// Node power draw in the current mode [W], excluding the MCU.
-  /// `toggle_rate_hz` defaults by mode (localization toggle or 0).
-  double power_w(double toggle_rate_hz = -1.0) const;
 
   /// Maximum uplink bit rate [bps] the switches support (2 bits/symbol,
   /// one possible transition per symbol per switch).
@@ -82,7 +55,6 @@ class MilBackNode {
   rf::EnvelopeDetector detector_a_;
   rf::EnvelopeDetector detector_b_;
   Mcu mcu_;
-  NodeMode mode_ = NodeMode::kIdle;
 };
 
 }  // namespace milback::node

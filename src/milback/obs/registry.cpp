@@ -256,9 +256,6 @@ void set_enabled(bool metrics, bool trace) {
 
 namespace detail {
 
-bool metrics_enabled_slow() noexcept { return obs::metrics_enabled(); }
-bool trace_enabled_slow() noexcept { return obs::trace_enabled(); }
-
 void sink_counter_add(std::uint32_t id, std::uint64_t n) {
   sink().counters[id] += n;
 }

@@ -86,11 +86,6 @@ namespace detail {
 
 inline constexpr std::uint32_t kInvalidId = 0xffffffffu;
 
-/// Global enable flags. Relaxed loads on the hot path; initialised from the
-/// MILBACK_METRICS_DIR / MILBACK_TRACE_DIR environment before main.
-bool metrics_enabled_slow() noexcept;
-bool trace_enabled_slow() noexcept;
-
 // Out-of-line sink operations — only reached when telemetry is enabled.
 void sink_counter_add(std::uint32_t id, std::uint64_t n);
 void sink_hist_record(std::uint32_t id, const HistogramSpec& spec, double x);

@@ -8,8 +8,6 @@
 // Both sweep 26.5 -> 29.5 GHz (3 GHz).
 #pragma once
 
-#include <cstddef>
-
 namespace milback::radar {
 
 /// Chirp frequency-vs-time shape.
@@ -32,11 +30,6 @@ struct ChirpConfig {
   /// Instantaneous frequency at time `t` in [0, duration].
   double frequency_at(double t) const;
 
-  /// Time(s) at which the sweep crosses frequency `f`. For a sawtooth there
-  /// is one crossing; for a triangular chirp there are two (up and down leg).
-  /// Returns the count written into `t_out[2]`; 0 if `f` is out of sweep.
-  std::size_t crossings(double f, double t_out[2]) const;
-
   /// Sweep end frequency.
   double end_frequency_hz() const noexcept {
     return start_frequency_hz + bandwidth_hz;
@@ -49,12 +42,6 @@ struct ChirpConfig {
 
   /// Range resolution c / (2B) delivered by this sweep [m].
   double range_resolution_m() const noexcept;
-
-  /// Beat frequency produced by a round-trip delay `tau` [Hz] on the up-leg.
-  double beat_frequency_hz(double tau_s) const noexcept;
-
-  /// Maximum unambiguous range for a beat-signal sample rate `fs` [m].
-  double max_range_m(double fs) const noexcept;
 };
 
 /// The paper's Field-1 chirp: triangular, 45 us, full band.

@@ -17,11 +17,6 @@ double Adc::lsb() const noexcept {
   return config_.full_scale_v / double(1u << config_.bits);
 }
 
-double Adc::quantization_noise_power() const noexcept {
-  const double q = lsb();
-  return q * q / 12.0;
-}
-
 double Adc::quantize(double v) const {
   require_finite(v, "v");
   const double lo = config_.bipolar ? -config_.full_scale_v / 2.0 : 0.0;

@@ -35,9 +35,6 @@ class Adc {
   /// Least significant bit size in volts.
   double lsb() const noexcept;
 
-  /// Quantization noise power (LSB^2 / 12) in V^2.
-  double quantization_noise_power() const noexcept;
-
   /// Config echo.
   const AdcConfig& config() const noexcept { return config_; }
 

@@ -59,8 +59,4 @@ double EnvelopeDetector::max_symbol_rate_hz() const noexcept {
   return 1.0 / (2.0 * rise_time_s());
 }
 
-double EnvelopeDetector::residual_reflection() const noexcept {
-  return db2lin(-config_.input_return_loss_db);
-}
-
 }  // namespace milback::rf

@@ -26,7 +26,6 @@ struct EnvelopeDetectorConfig {
                                              ///< Fig 14 downlink SINR hits
                                              ///< ~12 dB at 10 m over a 1 GHz
                                              ///< measurement bandwidth.
-  double input_return_loss_db = 15.0;    ///< Residual reflection when "matched".
   double max_output_v = 4.0;             ///< Output clamp.
   double power_consumption_w = 1.6e-3;   ///< DC power when biased on.
 };
@@ -58,10 +57,6 @@ class EnvelopeDetector {
   /// Maximum OOK symbol rate the detector can follow (one rise + one fall
   /// per symbol), used by the rate-limits bench.
   double max_symbol_rate_hz() const noexcept;
-
-  /// Power reflection coefficient |Gamma|^2 presented to the FSA port when
-  /// the switch routes the port here ("absorb" residual).
-  double residual_reflection() const noexcept;
 
   /// Config echo.
   const EnvelopeDetectorConfig& config() const noexcept { return config_; }

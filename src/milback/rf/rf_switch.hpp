@@ -4,7 +4,8 @@
 // and the envelope detector (absorptive beam). The finite transition time of
 // the switch is what caps the uplink at ~160 Mbps in the paper; insertion
 // loss and isolation shape the achievable reflection contrast (and therefore
-// uplink SNR).
+// uplink SNR). The model is stateless: every query takes the SwitchState
+// (or a state sequence) it is asked about.
 #pragma once
 
 #include <cstddef>
@@ -28,18 +29,12 @@ struct RfSwitchConfig {
   double static_power_w = 1.5e-3;   ///< Bias power while operating.
 };
 
-/// SPDT switch with state, finite transition and loss model.
+/// Stateless SPDT switch model: loss and finite transition. Callers pass
+/// the routing state to every query.
 class RfSwitch {
  public:
-  /// Constructs in the absorptive state.
+  /// Validates the configuration.
   explicit RfSwitch(const RfSwitchConfig& config);
-
-  /// Sets the routing state (instantaneously for the state machine; the
-  /// waveform-level helpers below account for transition time).
-  void set_state(SwitchState s) noexcept { state_ = s; }
-
-  /// Current routing state.
-  SwitchState state() const noexcept { return state_; }
 
   /// Power reflection coefficient |Gamma|^2 of the FSA port for a given
   /// state: ~1 (minus 2x insertion loss) when reflecting, the detector's
@@ -66,7 +61,6 @@ class RfSwitch {
 
  private:
   RfSwitchConfig config_;
-  SwitchState state_ = SwitchState::kAbsorb;
 };
 
 }  // namespace milback::rf

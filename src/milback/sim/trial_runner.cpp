@@ -6,6 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "milback/core/contract.hpp"
 #include "milback/obs/profile.hpp"
@@ -43,6 +44,18 @@ const SimObs& sim_obs() {
   return instance;
 }
 
+// Set while this thread runs inside a for_each region: on the caller for the
+// whole call (serial path included) and on every helper it starts. A region
+// entered under the mark runs inline, so nesting never starts a second pool.
+thread_local bool t_in_region = false;
+
+// Marks the calling thread for one for_each call; the previous mark comes
+// back on scope exit, exceptions included.
+struct RegionMark {
+  bool outer = std::exchange(t_in_region, true);
+  ~RegionMark() { t_in_region = outer; }
+};
+
 }  // namespace
 
 // milback-analyze: no-contract(any requested value is valid; non-positive means resolve from env/hardware)
@@ -67,8 +80,10 @@ void TrialRunner::for_each(std::size_t n,
   sim_obs().tasks.add(n);
   const obs::ProfileScope region_profile(sim_obs().region_ns);
 
+  // Nesting rule: only the outermost region is parallel.
   const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads_), n);
+      t_in_region ? 1 : std::min<std::size_t>(static_cast<std::size_t>(threads_), n);
+  const RegionMark mark;
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     sim_obs().worker_tasks.record(double(n));
@@ -83,6 +98,7 @@ void TrialRunner::for_each(std::size_t n,
   std::mutex error_mutex;
 
   const auto worker = [&](bool helper) {
+    if (helper) t_in_region = true;  // Helper threads exit with the region.
     std::size_t executed = 0;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);

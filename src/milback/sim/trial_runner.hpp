@@ -35,8 +35,10 @@ class TrialRunner {
 
   /// Invokes fn(i) exactly once for every i in [0, n), possibly concurrently
   /// and in unspecified order. Runs serially on the calling thread when the
-  /// runner has one worker (or n <= 1). The first exception thrown by any
-  /// trial is rethrown on the calling thread after all workers stop.
+  /// runner has one worker (or n <= 1), and when the call is nested inside
+  /// another for_each (any runner): only the outermost region is parallel.
+  /// The first exception thrown by any trial is rethrown on the calling
+  /// thread after all workers stop.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   /// Runs fn(i) -> T for every i in [0, n) and returns the results in index

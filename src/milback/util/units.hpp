@@ -45,9 +45,6 @@ inline double dbm2watt(double dbm) noexcept { return std::pow(10.0, dbm / 10.0) 
 /// Converts an amplitude (voltage) ratio to dB (20·log10).
 inline double amp2db(double ratio) noexcept { return 20.0 * std::log10(ratio); }
 
-/// Converts dB to an amplitude (voltage) ratio.
-inline double db2amp(double db) noexcept { return std::pow(10.0, db / 20.0); }
-
 /// Free-space wavelength [m] for a carrier frequency [Hz].
 constexpr double wavelength(double frequency_hz) noexcept {
   return kSpeedOfLight / frequency_hz;
@@ -58,15 +55,6 @@ inline double thermal_noise_power(double bandwidth_hz,
                                   double temp_k = kReferenceTemperatureK) noexcept {
   return kBoltzmann * temp_k * bandwidth_hz;
 }
-
-/// Thermal noise power in dBm: −174 dBm/Hz + 10·log10(B) at 290 K.
-inline double thermal_noise_dbm(double bandwidth_hz,
-                                double temp_k = kReferenceTemperatureK) noexcept {
-  return watt2dbm(thermal_noise_power(bandwidth_hz, temp_k));
-}
-
-/// Wraps an angle in degrees into [-180, 180).
-double wrap_degrees(double deg);
 
 /// Wraps a phase in radians into [-pi, pi).
 double wrap_radians(double rad);

@@ -14,16 +14,6 @@ channel::BackscatterChannel cluttered_channel(std::uint64_t seed = 1) {
       channel::Environment::indoor_office(rng));
 }
 
-TEST(BeamScanner, GridSize) {
-  BeamScanConfig cfg;
-  cfg.min_azimuth_deg = -30.0;
-  cfg.max_azimuth_deg = 30.0;
-  cfg.step_deg = 10.0;
-  EXPECT_EQ(BeamScanner(cfg).grid_size(), 7u);
-  cfg.step_deg = 0.0;
-  EXPECT_EQ(BeamScanner(cfg).grid_size(), 0u);
-}
-
 TEST(BeamScanner, SteeredSnrPeaksOnBoresight) {
   const auto chan = cluttered_channel();
   BeamScanner scanner;

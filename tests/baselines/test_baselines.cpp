@@ -65,12 +65,6 @@ TEST(Millimetro, Table1Row) {
   EXPECT_DOUBLE_EQ(tag.max_uplink_rate_bps(), 0.0);
 }
 
-TEST(Millimetro, LongRangeLocalization) {
-  // Millimetro's selling point: detectable far beyond MilBack's comm range.
-  Millimetro tag;
-  EXPECT_GT(tag.localization_snr_db(20.0), 10.0);
-}
-
 TEST(Millimetro, CoarserRangeResolutionThanMilBack) {
   // Commodity radar sweep (250 MHz) -> 60 cm bins vs MilBack's 5 cm.
   Millimetro tag;

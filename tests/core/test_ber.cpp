@@ -25,7 +25,7 @@ TEST(Ber, NoncoherentOokFormula) {
 TEST(Ber, NoncoherentMonotoneDecreasing) {
   double prev = 1.0;
   for (double snr_db = -10.0; snr_db <= 25.0; snr_db += 1.0) {
-    const double ber = ber_ook_noncoherent_db(snr_db);
+    const double ber = ber_ook_noncoherent(db2lin(snr_db));
     EXPECT_LE(ber, prev);
     prev = ber;
   }
@@ -34,17 +34,9 @@ TEST(Ber, NoncoherentMonotoneDecreasing) {
 TEST(Ber, PaperOperatingPoints) {
   // Fig 15a markers (our calibration maps them to these SNRs):
   // ~12 dB -> ~2e-4; ~15.3 dB -> ~2e-8; ~16.6 dB -> ~1e-10.
-  EXPECT_NEAR(std::log10(ber_ook_noncoherent_db(12.0)), std::log10(2e-4), 0.6);
-  EXPECT_NEAR(std::log10(ber_ook_noncoherent_db(15.3)), std::log10(2e-8), 0.8);
-  EXPECT_NEAR(std::log10(ber_ook_noncoherent_db(16.6)), std::log10(1e-10), 1.0);
-}
-
-TEST(Ber, CoherentBeatsNoncoherentAtHighSnr) {
-  for (double snr_db : {10.0, 14.0, 18.0}) {
-    EXPECT_LT(ber_ook_coherent_db(snr_db), 1.0);
-    EXPECT_GT(ber_ook_coherent_db(snr_db), 0.0);
-  }
-  EXPECT_NEAR(ber_ook_coherent(0.0), 0.5, 1e-9);
+  EXPECT_NEAR(std::log10(ber_ook_noncoherent(db2lin(12.0))), std::log10(2e-4), 0.6);
+  EXPECT_NEAR(std::log10(ber_ook_noncoherent(db2lin(15.3))), std::log10(2e-8), 0.8);
+  EXPECT_NEAR(std::log10(ber_ook_noncoherent(db2lin(16.6))), std::log10(1e-10), 1.0);
 }
 
 TEST(Ber, OaqfmAveragesTones) {
@@ -53,18 +45,6 @@ TEST(Ber, OaqfmAveragesTones) {
               0.5 * (ber_ook_noncoherent(a) + ber_ook_noncoherent(b)), 1e-15);
   // Equal tones degenerate to single-tone BER.
   EXPECT_NEAR(ber_oaqfm(a, a), ber_ook_noncoherent(a), 1e-15);
-}
-
-TEST(Ber, SnrForBerInverts) {
-  for (double target : {1e-3, 1e-6, 1e-10}) {
-    const double snr = snr_for_ber_noncoherent(target);
-    EXPECT_NEAR(ber_ook_noncoherent(snr), target, target * 1e-9);
-  }
-}
-
-TEST(Ber, SnrForBerClampsSillyTargets) {
-  EXPECT_NEAR(snr_for_ber_noncoherent(0.5), 0.0, 1e-9);
-  EXPECT_GT(snr_for_ber_noncoherent(1e-300), 1000.0);
 }
 
 TEST(Ber, EmpiricalBer) {

@@ -64,19 +64,6 @@ TEST(Oaqfm, OddBitCountPadsWithZero) {
   EXPECT_EQ(syms[0], OaqfmSymbol::k10);
 }
 
-TEST(Oaqfm, BitErrorsCountsPerBit) {
-  const std::vector<OaqfmSymbol> tx{OaqfmSymbol::k00, OaqfmSymbol::k11};
-  EXPECT_EQ(bit_errors(tx, tx), 0u);
-  EXPECT_EQ(bit_errors(tx, {OaqfmSymbol::k01, OaqfmSymbol::k11}), 1u);
-  EXPECT_EQ(bit_errors(tx, {OaqfmSymbol::k11, OaqfmSymbol::k00}), 4u);
-}
-
-TEST(Oaqfm, BitErrorsLengthMismatchPenalized) {
-  const std::vector<OaqfmSymbol> tx{OaqfmSymbol::k00, OaqfmSymbol::k11};
-  EXPECT_EQ(bit_errors(tx, {OaqfmSymbol::k00}), 2u);
-  EXPECT_EQ(bit_errors({}, tx), 4u);
-}
-
 TEST(Oaqfm, PilotAlternates) {
   const auto p = uplink_pilot(5);
   ASSERT_EQ(p.size(), 5u);

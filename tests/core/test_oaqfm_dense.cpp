@@ -41,11 +41,6 @@ TEST(DenseOaqfm, PowerLevelsUniform) {
   }
 }
 
-TEST(DenseOaqfm, AmplitudeIsSqrtOfPower) {
-  EXPECT_NEAR(level_amplitude_fraction(1, 4), std::sqrt(1.0 / 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(level_amplitude_fraction(3, 4), 1.0);
-}
-
 TEST(DenseOaqfm, SlicerNearestLevel) {
   const double vf = 3.0;
   EXPECT_EQ(slice_level(0.0, vf, 4), 0);
@@ -95,12 +90,6 @@ TEST(DenseOaqfm, TwoLevelMatchesStandardOaqfmRate) {
   EXPECT_EQ(syms[0].level_b, 0);
   EXPECT_EQ(syms[1].level_a, 0);
   EXPECT_EQ(syms[1].level_b, 1);
-}
-
-TEST(DenseOaqfm, BitErrorsAdjacentLevelCostsOneBit) {
-  std::vector<DenseSymbol> tx{{2, 0}};
-  std::vector<DenseSymbol> rx{{3, 0}};  // one level off on tone A
-  EXPECT_EQ(dense_bit_errors(tx, rx, 4), 1u);
 }
 
 TEST(DenseOaqfm, BerMonotoneInSnrAndLevels) {

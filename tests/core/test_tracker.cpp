@@ -78,17 +78,6 @@ TEST(Tracker, TracksConstantVelocity) {
   EXPECT_NEAR(t.state().x_m, 2.0 + 0.5 * 0.1 * 59, 0.1);
 }
 
-TEST(Tracker, PredictExtrapolates) {
-  TrackerConfig cfg;
-  cfg.dt_s = 0.1;
-  NodeTracker t(cfg);
-  for (int i = 0; i < 60; ++i) t.update(fix_at(2.0 + 0.05 * i, 0.0), std::nullopt);
-  const auto p = t.predict(1.0);
-  EXPECT_NEAR(p.x_m, t.state().x_m + t.state().vx_mps, 1e-9);
-  // predict() must not mutate.
-  EXPECT_NEAR(t.state().x_m, 2.0 + 0.05 * 59, 0.2);
-}
-
 TEST(Tracker, CoastsThroughMisses) {
   TrackerConfig cfg;
   cfg.dt_s = 0.1;

@@ -28,19 +28,5 @@ TEST(OnePole, PassThroughWhenTauZero) {
   EXPECT_DOUBLE_EQ(lpf.step(-2.0), -2.0);
 }
 
-TEST(OnePole, ResetClearsState) {
-  OnePoleLowpass lpf(5.0);
-  lpf.step(10.0);
-  lpf.reset();
-  EXPECT_NEAR(lpf.step(0.0), 0.0, 1e-12);
-}
-
-TEST(OnePole, ProcessIsStateful) {
-  OnePoleLowpass lpf(5.0);
-  const auto y = lpf.process(std::vector<double>(100, 2.0));
-  EXPECT_LT(y.front(), 1.0);
-  EXPECT_NEAR(y.back(), 2.0, 1e-6);
-}
-
 }  // namespace
 }  // namespace milback::dsp

@@ -101,11 +101,9 @@ TEST(PaperClaims, OrientationAccuracyFig13) {
 TEST(PaperClaims, PowerConsumption) {
   // 18 mW localization/downlink, 32 mW uplink (at 40 Mbps).
   const auto link = make_link();
-  auto node = link.node();
-  node.enter_mode(node::NodeMode::kDownlink);
-  EXPECT_NEAR(node.power_w() * 1e3, 18.0, 0.5);
-  node.enter_mode(node::NodeMode::kUplink);
-  EXPECT_NEAR(node.power_w(20e6) * 1e3, 32.0, 1.0);
+  const auto& power = link.node().config().power;
+  EXPECT_NEAR(node::node_power_w(node::NodeMode::kDownlink, power) * 1e3, 18.0, 0.5);
+  EXPECT_NEAR(node::node_power_w(node::NodeMode::kUplink, power, 20e6) * 1e3, 32.0, 1.0);
 }
 
 TEST(PaperClaims, OaqfmNeedsNoMixerOrOscillator) {

@@ -8,11 +8,15 @@
 // preset to prove the parallel path is race-free (see scripts/check.sh).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "milback/cell/cell_engine.hpp"
+#include "milback/cell/multi_cell.hpp"
 #include "milback/cell/sdm.hpp"
 #include "milback/core/link.hpp"
 #include "milback/core/round_types.hpp"
@@ -249,6 +253,113 @@ TEST(ThreadInvariance, RoundsConsumeOneDrawRegardlessOfThreads) {
     return rng.engine()();
   };
   EXPECT_EQ(next_draw_after_round("1"), next_draw_after_round("4"));
+}
+
+/// Every field of a cell report as exact bit patterns, so two runs compare
+/// field for field with no tolerance.
+void append_fields(const cell::CellReport& r, std::vector<std::uint64_t>& out) {
+  const auto put = [&](double x) { out.push_back(std::bit_cast<std::uint64_t>(x)); };
+  out.insert(out.end(), {r.service_rounds, r.events_dispatched, r.peak_population,
+                         r.final_population, std::uint64_t(r.stable), r.nodes.size()});
+  put(r.duration_s);
+  put(r.aggregate_goodput_bps);
+  put(r.cell_capacity_bps);
+  for (const auto& n : r.nodes) {
+    out.push_back(n.rounds_served);
+    for (const double x : {n.join_time_s, n.leave_time_s, n.offered_bits, n.delivered_bits,
+                           n.mean_latency_s, n.p50_latency_s, n.p95_latency_s,
+                           n.peak_queue_bits, n.final_queue_bits, n.service_rate_bps}) {
+      put(x);
+    }
+  }
+}
+
+/// A small churn cell: joins, leaves, moves and one blockage episode.
+std::vector<std::uint64_t> churn_cell_fields(std::uint64_t seed, std::size_t nodes) {
+  Rng env(5);
+  cell::CellEngine engine(channel::BackscatterChannel::make_default(
+                              channel::Environment::indoor_office(env)),
+                          cell::CellConfig{});
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const double distance = 1.5 + 0.2 * double(i % 7);
+    const double bearing = -40.0 + 7.0 * double(i);
+    const double orientation = -15.0 + 3.0 * double(i % 9);
+    const double join = (i % 3 == 2) ? 0.01 + 0.002 * double(i) : 0.0;
+    engine.add_node("n" + std::to_string(i),
+                    {.pose = {distance, bearing, orientation},
+                     .arrival_rate_bps = 30e3 + 4e3 * double(i % 5),
+                     .burstiness = (i % 2) ? 1.0 : 0.0},
+                    join);
+    if (i % 4 == 3) engine.schedule_leave(i, 0.06 + 0.001 * double(i));
+    if (i % 3 == 1) {
+      engine.schedule_move(i, 0.04 + 0.001 * double(i),
+                           {distance + 0.8, bearing + 2.0, orientation});
+    }
+  }
+  engine.schedule_blockage(0.05, 0.08, 15.0);
+  std::vector<std::uint64_t> out;
+  append_fields(engine.run(0.1, seed), out);
+  return out;
+}
+
+/// Two coupled cells with roaming nodes (handoffs at the barrier).
+std::vector<std::uint64_t> multi_cell_fields(std::uint64_t seed) {
+  Rng env(5);
+  cell::MultiCellConfig cfg;
+  cfg.aps = {{0.0, 0.0}, {24.0, 0.0}};
+  cfg.coverage_radius_m = 12.0;
+  cfg.epoch_s = 0.02;
+  cell::MultiCellEngine engine(channel::BackscatterChannel::make_default(
+                                   channel::Environment::indoor_office(env)),
+                               std::move(cfg));
+  for (std::size_t i = 0; i < 16; ++i) {
+    const double home_x = (i % 2) ? 24.0 : 0.0;
+    const double y = -2.0 + 0.3 * double(i);
+    engine.add_node("m" + std::to_string(i), {home_x + 1.0 + 0.1 * double(i), y, 5.0},
+                    25e3, (i % 3 == 0) ? 0.0 : 1.0);
+    if (i % 5 == 2) engine.schedule_waypoint(i, 0.03, {home_x > 0.0 ? 3.0 : 21.0, y, 5.0});
+  }
+  const auto report = engine.run(0.1, seed);
+  std::vector<std::uint64_t> out{report.epochs, report.handoffs, report.peak_population,
+                                 std::uint64_t(report.stable),
+                                 std::bit_cast<std::uint64_t>(report.aggregate_goodput_bps),
+                                 std::bit_cast<std::uint64_t>(report.max_interference_db)};
+  for (const auto& c : report.cells) append_fields(c, out);
+  for (const auto& n : report.nodes) {
+    out.insert(out.end(), {n.home_cell, n.final_cell, n.handoffs, n.rounds_served,
+                           std::bit_cast<std::uint64_t>(n.offered_bits),
+                           std::bit_cast<std::uint64_t>(n.delivered_bits),
+                           std::bit_cast<std::uint64_t>(n.final_queue_bits)});
+  }
+  return out;
+}
+
+TEST(ThreadInvariance, NestedCellSweepAnyWorkerCount) {
+  // Cells stepped inside a Sweep trial: each engine's per-sweep fan-out (and
+  // a MultiCellEngine's per-epoch fan-out) is a region nested in the
+  // Sweep's, so it runs inline on the trial's worker. Reports must match
+  // field for field at every worker count, fewer or more workers than trials.
+  const sim::Sweep<std::size_t> sweep({6, 10, 0}, 2);  // 0 = the two-cell campus
+  const auto run_at = [&](const char* threads) {
+    const ScopedThreads env(threads);
+    return sweep.run<std::vector<std::uint64_t>>(
+        sim::TrialRunner(), [](std::size_t nodes, std::size_t, std::size_t t) {
+          const std::uint64_t seed = 900 + t;
+          return nodes == 0 ? multi_cell_fields(seed) : churn_cell_fields(seed, nodes);
+        });
+  };
+  const auto serial = run_at("1");
+  // Sanity: the cells served sweeps (field 0) and the campus handed nodes
+  // off (field 1).
+  ASSERT_EQ(serial.size(), 3u);
+  for (const auto& point : serial) {
+    for (const auto& fields : point) EXPECT_GT(fields[0], 2u);
+  }
+  for (const auto& campus : serial[2]) EXPECT_GT(campus[1], 0u);
+  for (const char* threads : {"2", "3", "7"}) {
+    SCOPED_TRACE(std::string("MILBACK_SIM_THREADS=") + threads);
+    EXPECT_EQ(run_at(threads), serial);
+  }
 }
 
 }  // namespace

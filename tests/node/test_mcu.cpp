@@ -34,11 +34,5 @@ TEST(Mcu, SampleQuantizes) {
   EXPECT_NEAR(std::remainder(s[0], lsb), 0.0, 1e-12);
 }
 
-TEST(Mcu, MidpointThreshold) {
-  EXPECT_DOUBLE_EQ(Mcu::midpoint_threshold({0.0, 1.0, 0.2, 0.8}), 0.5);
-  EXPECT_DOUBLE_EQ(Mcu::midpoint_threshold({2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(Mcu::midpoint_threshold({}), 0.0);
-}
-
 }  // namespace
 }  // namespace milback::node

@@ -20,12 +20,12 @@ std::vector<double> trace_for(const antenna::DualPortFsa& fsa, antenna::FsaPort 
   const auto n = std::size_t(chirp.duration_s * kFs);
   std::vector<double> v(n, 0.0);
   if (!f_star) return v;
-  double t_cross[2];
-  const auto crossings = chirp.crossings(*f_star, t_cross);
+  // The up-leg crosses f* at t_up; the down-leg mirrors it about the apex.
+  const double t_up = (*f_star - chirp.start_frequency_hz) / chirp.slope_hz_per_s();
   const double hump_sigma_s = 1.5e-6;
-  for (std::size_t c = 0; c < crossings; ++c) {
+  for (const double t_cross : {t_up, chirp.duration_s - t_up}) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double d = (double(i) / kFs - t_cross[c]) / hump_sigma_s;
+      const double d = (double(i) / kFs - t_cross) / hump_sigma_s;
       v[i] += amp * std::exp(-d * d);
     }
   }

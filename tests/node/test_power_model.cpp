@@ -73,9 +73,6 @@ TEST(PowerModel, RejectsNanToggleRate) {
   // The wrappers forward the violation instead of terminating.
   EXPECT_THROW((void)node_power_with_mcu_w(NodeMode::kUplink, cfg, nan),
                ContractViolation);
-  MilBackNode node;
-  node.enter_mode(NodeMode::kUplink);
-  EXPECT_THROW((void)node.power_w(nan), ContractViolation);
 }
 
 }  // namespace

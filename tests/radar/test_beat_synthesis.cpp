@@ -49,7 +49,7 @@ TEST(BeatSynthesis, SingleReflectorProducesExpectedBeatTone) {
   std::vector<double> positive(mags.begin(), mags.begin() + std::ptrdiff_t(mags.size() / 2));
   const auto peak = dsp::max_peak(positive);
   const double f_est = peak.index * fs / double(mags.size());
-  EXPECT_NEAR(f_est, chirp.beat_frequency_hz(tau), fs / double(mags.size())) << "bin error";
+  EXPECT_NEAR(f_est, chirp.slope_hz_per_s() * tau, fs / double(mags.size())) << "bin error";
 }
 
 TEST(BeatSynthesis, AmplitudePreserved) {

@@ -21,7 +21,6 @@ TEST(Adc, RejectsBadConfig) {
 TEST(Adc, LsbAndQuantNoise) {
   Adc adc{AdcConfig{.sample_rate_hz = 1e6, .bits = 12, .full_scale_v = 4.096}};
   EXPECT_NEAR(adc.lsb(), 0.001, 1e-9);
-  EXPECT_NEAR(adc.quantization_noise_power(), 1e-6 / 12.0, 1e-12);
 }
 
 TEST(Adc, QuantizeRoundsToCode) {

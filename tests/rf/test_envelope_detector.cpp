@@ -103,12 +103,5 @@ TEST(EnvelopeDetector, DetectNoiseMatchesSpec) {
   EXPECT_NEAR(sigma, expected, expected * 0.1);
 }
 
-TEST(EnvelopeDetector, ResidualReflectionFromReturnLoss) {
-  EnvelopeDetectorConfig cfg;
-  cfg.input_return_loss_db = 20.0;
-  EnvelopeDetector det{cfg};
-  EXPECT_NEAR(det.residual_reflection(), 0.01, 1e-9);
-}
-
 }  // namespace
 }  // namespace milback::rf

@@ -15,19 +15,6 @@ TEST(RfSwitch, RejectsBadTransitionTime) {
   EXPECT_THROW(RfSwitch{cfg}, std::invalid_argument);
 }
 
-TEST(RfSwitch, StartsAbsorptive) {
-  RfSwitch sw{RfSwitchConfig{}};
-  EXPECT_EQ(sw.state(), SwitchState::kAbsorb);
-}
-
-TEST(RfSwitch, StateMachine) {
-  RfSwitch sw{RfSwitchConfig{}};
-  sw.set_state(SwitchState::kReflect);
-  EXPECT_EQ(sw.state(), SwitchState::kReflect);
-  sw.set_state(SwitchState::kAbsorb);
-  EXPECT_EQ(sw.state(), SwitchState::kAbsorb);
-}
-
 TEST(RfSwitch, ReflectionContrast) {
   RfSwitch sw{RfSwitchConfig{}};
   const double reflect = sw.reflection_power(SwitchState::kReflect);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "milback/sim/trial_runner.hpp"
@@ -109,6 +110,32 @@ TEST(TrialRunner, ExceptionPropagatesFromWorker) {
                                  if (i == 7) throw std::runtime_error("trial 7");
                                }),
                std::runtime_error);
+}
+
+TEST(TrialRunner, NestedRegionRunsInline) {
+  // Nesting rule: a for_each inside another for_each runs every inner index
+  // on the thread of the outer task that entered it, whatever either
+  // runner's worker count.
+  for (const int outer_threads : {1, 4}) {
+    SCOPED_TRACE("outer threads " + std::to_string(outer_threads));
+    const TrialRunner outer(outer_threads);
+    const TrialRunner inner(4);
+    std::vector<int> inner_runs(8, 0);
+    std::vector<std::uint8_t> foreign(8, 0);
+    outer.for_each(8, [&](std::size_t i) {
+      const auto self = std::this_thread::get_id();
+      std::atomic<bool> moved{false};
+      inner.for_each(16, [&](std::size_t) {
+        if (std::this_thread::get_id() != self) moved = true;
+        ++inner_runs[i];
+      });
+      foreign[i] = moved ? 1 : 0;
+    });
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(inner_runs[i], 16) << "outer task " << i;
+      EXPECT_EQ(foreign[i], 0) << "outer task " << i;
+    }
+  }
 }
 
 TEST(TrialRunner, ExceptionPropagatesInSerialMode) {
