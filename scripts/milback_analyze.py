@@ -2,9 +2,9 @@
 """AST-grounded determinism analyzer for the milback tree.
 
 `physics_lint.py` is the fast textual gate (rules R1-R5, R7-R14); this tool
-is the semantic gate. It is driven by the build's `compile_commands.json` and
-checks properties that a regex cannot see through typedefs, `auto`, aliases,
-or qualified names:
+is the semantic gate. It scans every C++ source and header under `src/`,
+`tests/`, `bench/` and `examples/` and checks properties that a regex cannot
+see through typedefs, `auto`, aliases, or qualified names:
 
   A1  contract coverage: every public function declared in a
       `src/milback/*/` header with at least one parameter and a non-trivial
@@ -46,8 +46,8 @@ for A1 it may sit at either the header declaration or the definition.
 
 Frontend: a built-in single-pass C++ semantic parser resolves the
 alias/typedef/member-type information the checks need from the token stream
-of every file in the compilation database; it needs nothing beyond the
-Python standard library.
+of every scanned file; it needs no build, no compilation database and
+nothing beyond the Python standard library.
 
 Findings print as `path:line: [A<k>] message` (physics_lint's format) and the
 exit status is non-zero when any finding survives waivers.
@@ -56,7 +56,6 @@ exit status is non-zero when any finding survives waivers.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -1483,34 +1482,8 @@ def build_model(root, files):
 # Driver
 # ---------------------------------------------------------------------------
 
-def load_compdb(compdb_path, root):
-    import shlex
-    with open(compdb_path, encoding="utf-8") as fh:
-        entries = json.load(fh)
-    tus = []
-    for e in entries:
-        f = Path(e["file"])
-        if not f.is_absolute():
-            f = Path(e["directory"]) / f
-        try:
-            f = f.resolve()
-            f.relative_to(root)
-        except (OSError, ValueError):
-            continue
-        if f.suffix not in CPP_EXTS or not f.is_file():
-            continue
-        if "arguments" in e:
-            args = list(e["arguments"])
-        else:
-            args = shlex.split(e.get("command", ""))
-        keep = [a for a in args
-                if a.startswith(("-I", "-D", "-std", "-isystem"))]
-        tus.append((f, keep))
-    return tus
-
-
-def collect_files(root, tus):
-    files = {p for p, _ in tus}
+def collect_files(root):
+    files = set()
     for d in ("src", "tests", "bench", "examples"):
         base = root / d
         if not base.is_dir():
@@ -1573,9 +1546,6 @@ def main():
         description="AST-grounded determinism analyzer for the milback tree")
     ap.add_argument("root", nargs="?", default=".",
                     help="repository root (default: cwd)")
-    ap.add_argument("--compdb", default=None,
-                    help="path to compile_commands.json (default: "
-                         "<root>/build/compile_commands.json)")
     ap.add_argument("--only", default=None,
                     help="comma-separated subset of checks, e.g. A1,A3")
     ap.add_argument("--list-checks", action="store_true")
@@ -1586,22 +1556,7 @@ def main():
         return 0
 
     root = Path(args.root).resolve()
-    compdb = args.compdb
-    if compdb is None:
-        for cand in ("build/compile_commands.json",
-                     "build-dev/compile_commands.json"):
-            if (root / cand).is_file():
-                compdb = str(root / cand)
-                break
-    tus = []
-    if compdb and Path(compdb).is_file():
-        tus = load_compdb(compdb, root)
-    else:
-        print("milback_analyze: warning: no compile_commands.json found"
-              " (configure with CMAKE_EXPORT_COMPILE_COMMANDS=ON);"
-              " falling back to a tree scan", file=sys.stderr)
-
-    files = collect_files(root, tus)
+    files = collect_files(root)
 
     model = build_model(root, files)
 

@@ -12,15 +12,16 @@ namespace milback::ap {
 BeamScanner::BeamScanner(const BeamScanConfig& config) : config_(config) {}
 
 double BeamScanner::steered_snr_db(const channel::BackscatterChannel& channel,
+                                   const LocalizerConfig& localizer,
                                    const channel::NodePose& pose,
                                    double steering_deg) const {
   require_positive(pose.distance_m, "pose.distance_m");
   require_finite(pose.azimuth_deg, "pose.azimuth_deg");
   require_finite(pose.orientation_deg, "pose.orientation_deg");
-  rf::RfSwitch sw{config_.localizer.node_switch};
+  rf::RfSwitch sw{localizer.node_switch};
   const auto budget = channel::compute_radar_budget(
-      channel, pose, sw, config_.localizer.chirp.duration_s,
-      config_.localizer.chirp.bandwidth_hz, config_.localizer.beat_sample_rate_hz);
+      channel, pose, sw, localizer.chirp.duration_s, localizer.chirp.bandwidth_hz,
+      localizer.beat_sample_rate_hz);
   // compute_radar_budget assumes boresight pointing; subtract the TX and RX
   // horn rolloff at the actual steering offset.
   const double offset = pose.azimuth_deg - steering_deg;
@@ -32,6 +33,7 @@ double BeamScanner::steered_snr_db(const channel::BackscatterChannel& channel,
 }
 
 std::vector<ScanDetection> BeamScanner::scan(const channel::BackscatterChannel& channel,
+                                             const LocalizerConfig& localizer,
                                              const std::vector<channel::NodePose>& nodes,
                                              milback::Rng& rng) const {
   require_positive(config_.step_deg, "step_deg");
@@ -48,7 +50,7 @@ std::vector<ScanDetection> BeamScanner::scan(const channel::BackscatterChannel& 
     GridHit h;
     h.steering = steer;
     for (std::size_t n = 0; n < nodes.size(); ++n) {
-      const double snr = steered_snr_db(channel, nodes[n], steer);
+      const double snr = steered_snr_db(channel, localizer, nodes[n], steer);
       if (snr > h.snr_db) {
         h.snr_db = snr;
         h.node = n;
@@ -60,7 +62,7 @@ std::vector<ScanDetection> BeamScanner::scan(const channel::BackscatterChannel& 
   // Pass 2: merge runs of adjacent hits that point at the same node, keep
   // the strongest steering of each run.
   std::vector<ScanDetection> detections;
-  const Localizer localizer(config_.localizer);
+  const Localizer fine(localizer);
   std::size_t i = 0;
   while (i < hits.size()) {
     std::size_t j = i;
@@ -74,7 +76,7 @@ std::vector<ScanDetection> BeamScanner::scan(const channel::BackscatterChannel& 
     ScanDetection det;
     det.steering_deg = best.steering;
     det.predicted_snr_db = best.snr_db;
-    det.fix = localizer.localize(channel, nodes[best.node], rng);
+    det.fix = fine.localize(channel, nodes[best.node], rng);
     detections.push_back(det);
     i = j + 1;
   }

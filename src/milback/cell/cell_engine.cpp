@@ -227,10 +227,7 @@ std::vector<std::size_t> CellEngine::alive_indices() const {
 void CellEngine::ensure_session(std::size_t i) {
   if (!config_.run_sessions) return;
   if (nodes_.session.size() < nodes_.size()) nodes_.session.resize(nodes_.size());
-  if (nodes_.session[i].has_value()) return;
-  // The session gets its own channel copy carrying the current blockage +
-  // interference state; later changes are propagated by apply_channel_loss.
-  nodes_.session[i].emplace(link_.channel(), config_.session);
+  if (!nodes_.session[i].has_value()) nodes_.session[i].emplace(config_.session);
 }
 
 void CellEngine::apply_channel_loss() {
@@ -239,19 +236,9 @@ void CellEngine::apply_channel_loss() {
   // every path. Both flow through the same PathSet budget queries.
   link_.channel().config().blockage_loss_db = blockage_db_;
   link_.channel().config().ambient_loss_db = external_db_;
-  for (auto& s : nodes_.session) {
-    if (s) {
-      auto& cfg = s->link().channel().config();
-      cfg.blockage_loss_db = blockage_db_;
-      cfg.ambient_loss_db = external_db_;
-    }
-  }
 }
 
 void CellEngine::set_multipath(channel::MultipathConfig multipath) {
-  for (auto& s : nodes_.session) {
-    if (s) s->link().channel().set_multipath(multipath);
-  }
   link_.channel().set_multipath(std::move(multipath));
 }
 
@@ -314,23 +301,18 @@ void CellEngine::dispatch_service(const Event& e) {
   // evaluated at the sweep time, and every worker sees the same frozen
   // geometry (thread-count invariant by construction).
   link_.channel().set_path_time_s(e.time_s);
-  if (config_.run_sessions) {
-    for (const auto i : alive) {
-      if (nodes_.session[i]) {
-        nodes_.session[i]->link().channel().set_path_time_s(e.time_s);
-      }
-    }
-  }
 
   // Rate recomputation fans out on the TrialRunner: each trial touches only
-  // its own node and derives randomness from (seed[, cell], node, event
+  // its own node, reads the cell's link through a const reference (sessions
+  // borrow it), and derives randomness from (seed[, cell], node, event
   // seq), so the sweep is thread-count invariant.
   const sim::TrialRunner runner(config_.sweep_threads);
   std::vector<core::SessionStep> steps;
   if (config_.run_sessions) {
     steps = runner.map<core::SessionStep>(alive.size(), [&](std::size_t k) {
       auto rng = event_stream(std::uint64_t{alive[k]}, e.seq);
-      return nodes_.session[alive[k]]->step(nodes_.pose[alive[k]], rng);
+      return nodes_.session[alive[k]]->step(link_, config_.rate,
+                                            nodes_.pose[alive[k]], rng);
     });
     for (std::size_t k = 0; k < alive.size(); ++k) {
       nodes_.rate_bps[alive[k]] =

@@ -5,7 +5,9 @@
 // (join/leave/move), traffic arrivals, blockage episodes and SDM service
 // sweeps are all events on a single queue ordered by (time, priority, seq);
 // see event_queue.hpp for the ordering contract. With run_sessions each node
-// also drives its own AdaptiveSession on the same clock. A single
+// also drives its own AdaptiveSession on the same clock; the sessions are
+// state machines over the cell's one link (one channel, one set of AP
+// engines) and the cell's one rate policy, which every step() borrows. A single
 // waveform-level SDM round over a static population needs no clock and is
 // the free function cell::run_uplink_round / run_downlink_round (sdm.hpp).
 //
@@ -59,7 +61,9 @@ struct CellObs;
 /// Engine tuning.
 struct CellConfig {
   core::NetworkConfig network{};      ///< Link + SDM configuration.
-  core::RateAdaptConfig rate{};       ///< Shared rate-adaptation thresholds.
+  core::RateAdaptConfig rate{};       ///< Rate-adaptation thresholds: the
+                                      ///< budget probe's and, with
+                                      ///< run_sessions, every session's.
   std::size_t payload_symbols = 512;  ///< Symbols per service packet.
   double service_period_s = 0.0;      ///< > 0 pins the sweep period; 0 derives
                                       ///< it per sweep from the SDM slot times.
@@ -67,7 +71,10 @@ struct CellConfig {
                                       ///< (acquire/track/lost) instead of the
                                       ///< budget probe. Requires a pinned
                                       ///< service_period_s.
-  core::SessionConfig session{};      ///< Per-node session tuning (run_sessions).
+  core::SessionConfig session{};      ///< Per-node session tuning (run_sessions):
+                                      ///< scan sector, tracker, payload and
+                                      ///< failure rules. The link comes from
+                                      ///< network.link, the rates from rate.
   std::int64_t cell_index = -1;       ///< >= 0: this engine is one shard of a
                                       ///< MultiCellEngine — draws are keyed
                                       ///< (seed, cell, node, seq) and cell-wide
@@ -158,8 +165,8 @@ class CellEngine {
   void schedule_blockage(double start_s, double end_s, double loss_db);
 
   /// Installs the scene geometry (walls + moving blockers) on the cell's
-  /// channel and every live session's channel copy. Call before begin();
-  /// the per-sweep path clock is advanced by the service dispatcher.
+  /// channel, which every session shares. Call before begin(); the
+  /// per-sweep path clock is advanced by the service dispatcher.
   void set_multipath(channel::MultipathConfig multipath);
 
   /// Installs (or, with `config.enabled == false`, uninstalls) the

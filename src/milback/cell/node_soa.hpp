@@ -110,8 +110,9 @@ class NodeSoA {
   std::vector<double> peak_queue_bits;
   std::vector<std::uint32_t> rounds_served;
   /// Sized lazily by the engine in run_sessions mode only (an
-  /// AdaptiveSession embeds a full link copy — far above the per-node byte
-  /// budget, so probe-mode cells never pay for the column).
+  /// AdaptiveSession's tracker and round state would add more than half
+  /// again to a probe-mode node's bytes, so probe-mode cells never pay for
+  /// the column). Sessions hold no link: each step borrows the engine's.
   std::vector<std::optional<core::AdaptiveSession>> session;
 
  private:

@@ -55,7 +55,6 @@ BackscatterChannel::BackscatterChannel(ChannelConfig config, rf::HornAntenna ap_
                        "implementation_loss_two_way_db");
   require_non_negative(config_.blockage_loss_db, "blockage_loss_db");
   require_non_negative(config_.ambient_loss_db, "ambient_loss_db");
-  require_positive(config_.ap_antenna_baseline_m, "ap_antenna_baseline_m");
   require_non_negative(config_.steering_error_sigma_deg, "steering_error_sigma_deg");
 }
 

@@ -46,7 +46,6 @@ struct ChannelConfig {
                                            ///< relative to received power (LO
                                            ///< phase-noise skirt); caps uplink
                                            ///< SNR at short range.
-  double ap_antenna_baseline_m = 0.035;    ///< RX horn separation for AoA.
   double steering_error_sigma_deg = 1.0;   ///< Mechanical steering residual.
   double chirp_amplitude_drift = 2.5e-4;   ///< Chirp-to-chirp clutter amplitude
                                            ///< drift (limits background

@@ -17,11 +17,6 @@
 
 namespace milback::core {
 
-/// Dense-OAQFM parameters.
-struct DenseOaqfmConfig {
-  unsigned levels_per_tone = 4;  ///< L; must be a power of two in [2, 16].
-};
-
 /// One dense symbol: a power level per tone.
 struct DenseSymbol {
   std::uint8_t level_a = 0;  ///< Tone-A level in [0, L-1].

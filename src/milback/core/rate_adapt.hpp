@@ -3,9 +3,9 @@
 //
 // The adaptive session and the cell engine's scheduler both pick between
 // the paper's 10 and 40 Mbps uplink operating points from a budget SNR.
-// Each consumer embeds one RateAdaptConfig (SessionConfig::rate,
-// cell::CellConfig::rate) rather than its own copy of the thresholds, so a
-// re-calibration lands everywhere at once.
+// A cell holds the only copy (cell::CellConfig::rate): its budget probe
+// reads it, and in session mode it hands the same object to every
+// AdaptiveSession::step(), so a re-calibration lands everywhere at once.
 //
 // Two decision flavours exist because the layers ask different questions:
 //   service_rate_bps()  -- the scheduler's question: "is this node worth a

@@ -40,22 +40,20 @@ const SessionObs& session_obs() {
 
 }  // namespace
 
-AdaptiveSession::AdaptiveSession(channel::BackscatterChannel channel,
-                                 SessionConfig config)
-    : config_(config),
-      link_(std::move(channel), config.link),
-      scanner_(config.scan),
-      tracker_(config.tracker) {}
+AdaptiveSession::AdaptiveSession(SessionConfig config)
+    : config_(config), tracker_(config.tracker) {}
 
-std::pair<double, bool> AdaptiveSession::adapt(double snr_db) const noexcept {
+RateDecision AdaptiveSession::adapt(const RateAdaptConfig& rate,
+                                    double snr_db) const {
   // Measured quality outranks the budget: if recent payloads erred, back off
   // to the conservative operating point whatever the model predicts.
   if (measured_ber_ema_ > config_.ber_backoff) return {10e6, true};
-  const auto decision = adapt_rate(config_.rate, snr_db);
-  return {decision.rate_bps, decision.fec};
+  return adapt_rate(rate, snr_db);
 }
 
-SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
+SessionStep AdaptiveSession::step(const MilBackLink& link,
+                                  const RateAdaptConfig& rate,
+                                  const channel::NodePose& true_pose,
                                   milback::Rng& rng) {
   require_positive(true_pose.distance_m, "true_pose.distance_m");
   require_finite(true_pose.azimuth_deg, "true_pose.azimuth_deg");
@@ -67,7 +65,9 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
 
   if (state_ != SessionState::kTracking) {
     // --- Acquisition: sweep the sector. ---
-    const auto dets = scanner_.scan(link_.channel(), {true_pose}, rng);
+    const auto dets = ap::BeamScanner(config_.scan)
+                          .scan(link.channel(), link.config().ap.localizer,
+                                {true_pose}, rng);
     if (!dets.empty() && dets.front().fix.detected) {
       session_obs().acquired.add();
       tracker_ = NodeTracker(config_.tracker);  // fresh track
@@ -89,7 +89,7 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   }
 
   // --- Tracking round: localize, adapt, exchange. ---
-  const auto fix = link_.localize(true_pose, rng);
+  const auto fix = link.localize(true_pose, rng);
   tracker_.update(fix, std::nullopt);
   out.localized = fix.detected;
   out.range_m = tracker_.state().range_m();
@@ -108,26 +108,26 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   }
 
   // Budget SNR at the tracked range (10 Mbps reference bandwidth).
-  rf::RfSwitch sw{link_.node().config().rf_switch};
+  rf::RfSwitch sw{link.node().config().rf_switch};
   const auto pair =
-      link_.channel().fsa().carrier_pair_for_angle(true_pose.orientation_deg);
+      link.channel().fsa().carrier_pair_for_angle(true_pose.orientation_deg);
   if (pair) {
     channel::NodePose tracked = true_pose;
     tracked.distance_m = std::max(out.range_m, 0.3);
     const auto budget = channel::compute_uplink_budget(
-        link_.channel(), tracked, antenna::FsaPort::kA, pair->first, sw, 10e6);
+        link.channel(), tracked, antenna::FsaPort::kA, pair->first, sw, 10e6);
     out.budget_snr_db = budget.snr_db;
   }
 
-  const auto [rate, fec] = adapt(out.budget_snr_db);
-  out.uplink_rate_bps = rate;
+  const auto [rate_bps, fec] = adapt(rate, out.budget_snr_db);
+  out.uplink_rate_bps = rate_bps;
   out.fec_enabled = fec;
   if (fec) session_obs().fec_rounds.add();
 
   // Payload: encode if FEC chosen, run the uplink, decode, count data errors.
   const auto data = rng.bits(config_.payload_bits);
   const auto tx_bits = fec ? hamming74_encode(data) : data;
-  const auto run = link_.run_uplink(true_pose, tx_bits, rng, rate);
+  const auto run = link.run_uplink(true_pose, tx_bits, rng, rate_bps);
   // Liveness: only the node's modulated reply proves the link is real. A
   // clutter residue can fake a localization fix but cannot answer a query.
   const bool comm_failed = !run.carriers_ok || run.ber > config_.comm_failure_ber;
@@ -164,7 +164,7 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   }
   out.payload_bit_errors = data_errors;
 
-  const double airtime_s = double(tx_bits.size()) / rate;
+  const double airtime_s = double(tx_bits.size()) / rate_bps;
   const double good_bits =
       double(data.size() - std::min(data_errors, data.size()));
   out.delivered_data_bps = airtime_s > 0.0 ? good_bits / airtime_s : 0.0;

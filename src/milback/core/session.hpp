@@ -13,6 +13,12 @@
 // Rate adaptation uses the same budget the benches sweep: 40 Mbps needs
 // ~6 dB more SNR than 10 Mbps (4x noise bandwidth); FEC is switched in when
 // the margin over the raw-BER target gets thin.
+//
+// The session is only the per-node state machine (track, failure count,
+// measured BER). The AP, its channel and the rate thresholds belong to the
+// owner: every step() borrows the owner's link and RateAdaptConfig, so a
+// cell keeps one channel and one rate policy however many nodes it serves.
+// step() only reads the link, so sessions may step concurrently on one link.
 #pragma once
 
 #include "milback/ap/beam_scanner.hpp"
@@ -25,12 +31,8 @@ namespace milback::core {
 
 /// Session tuning.
 struct SessionConfig {
-  LinkConfig link{};
   ap::BeamScanConfig scan{};
   TrackerConfig tracker{};
-  RateAdaptConfig rate{};           ///< Shared rate/FEC thresholds (the same
-                                    ///< source of truth the MAC and cell
-                                    ///< engine consume).
   std::size_t payload_bits = 512;   ///< Data bits per round.
   std::size_t max_comm_failures = 3;  ///< Consecutive failed payload rounds
                                       ///< before the link is declared lost
@@ -71,13 +73,16 @@ struct SessionStep {
 /// One node's adaptive session.
 class AdaptiveSession {
  public:
-  /// Builds the session over a channel.
-  AdaptiveSession(channel::BackscatterChannel channel, SessionConfig config = {});
+  /// Builds an acquiring session.
+  explicit AdaptiveSession(SessionConfig config = {});
 
-  /// Runs one protocol round against the node's current true pose. Every
-  /// draw of the round (fix noise, payload bits, FEC flips) comes from
-  /// `rng`, the caller's per-(node, event) stream.
-  SessionStep step(const channel::NodePose& true_pose, milback::Rng& rng);
+  /// Runs one protocol round over the owner's `link` against the node's
+  /// current true pose, picking the uplink rate and FEC with `rate`.
+  /// Acquisition fine-fixes with the link's own localizer configuration.
+  /// Every draw of the round (fix noise, payload bits, FEC flips) comes
+  /// from `rng`, the caller's per-(node, event) stream.
+  SessionStep step(const MilBackLink& link, const RateAdaptConfig& rate,
+                   const channel::NodePose& true_pose, milback::Rng& rng);
 
   /// What the latest step() returned (a default SessionStep before any).
   const SessionStep& last_step() const noexcept { return last_step_; }
@@ -85,24 +90,11 @@ class AdaptiveSession {
   /// Current state.
   SessionState state() const noexcept { return state_; }
 
-  /// The track (valid while kTracking).
-  const NodeTracker& tracker() const noexcept { return tracker_; }
-
-  /// Underlying link (mutable so tests can, e.g., inject blockage).
-  MilBackLink& link() noexcept { return link_; }
-  /// Const link access.
-  const MilBackLink& link() const noexcept { return link_; }
-
-  /// Config echo.
-  const SessionConfig& config() const noexcept { return config_; }
-
  private:
-  /// Picks (rate, fec) from a budget SNR.
-  std::pair<double, bool> adapt(double snr_db) const noexcept;
+  /// Picks (rate, fec) from a budget SNR under the owner's thresholds.
+  RateDecision adapt(const RateAdaptConfig& rate, double snr_db) const;
 
   SessionConfig config_;
-  MilBackLink link_;
-  ap::BeamScanner scanner_;
   NodeTracker tracker_;
   SessionState state_ = SessionState::kAcquiring;
   std::size_t comm_failures_ = 0;

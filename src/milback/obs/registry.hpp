@@ -70,7 +70,8 @@ struct HistogramSnapshot {
   double max = 0.0;                  ///< Largest recorded sample (0 if empty).
   std::vector<std::uint64_t> counts; ///< spec.buckets + 2 slots.
 
-  /// Records one sample (the same update the thread sinks apply).
+  /// Records one sample (thread sinks record through this; flushes merge()
+  /// each sink's snapshot into the central one).
   void record(double x);
 };
 

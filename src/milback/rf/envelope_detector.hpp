@@ -27,7 +27,6 @@ struct EnvelopeDetectorConfig {
                                              ///< ~12 dB at 10 m over a 1 GHz
                                              ///< measurement bandwidth.
   double max_output_v = 4.0;             ///< Output clamp.
-  double power_consumption_w = 1.6e-3;   ///< DC power when biased on.
 };
 
 /// Square-law power detector with finite video bandwidth and output noise.

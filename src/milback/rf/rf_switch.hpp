@@ -25,8 +25,6 @@ struct RfSwitchConfig {
   double isolation_db = 40.0;       ///< Off-path isolation.
   double transition_time_s = 6e-9;  ///< 10-90% settling between states.
   double detector_return_loss_db = 15.0;  ///< Residual reflection in absorb state.
-  double power_per_toggle_j = 9e-11;      ///< Energy per state change (CV^2-like).
-  double static_power_w = 1.5e-3;   ///< Bias power while operating.
 };
 
 /// Stateless SPDT switch model: loss and finite transition. Callers pass

@@ -3,8 +3,8 @@
 
 Stages the seeded-violation fixtures from tests/analyze/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the generic ones,
-src/milback/cell/ for the reduction-scoped ones), writes a synthetic
-compile_commands.json, runs the analyzer, and asserts the reported findings
+src/milback/cell/ for the reduction-scoped ones), runs the analyzer over
+that tree, and asserts the reported findings
 match the `analyze-expect: <CHECK>` markers in the fixtures exactly — same
 check id, same staged file, same line.
 
@@ -12,7 +12,6 @@ Exit status 0 when the analyzer reports exactly the expected findings (and
 nothing for the clean negative-control pair), 1 otherwise.
 """
 
-import json
 import re
 import subprocess
 import sys
@@ -54,16 +53,6 @@ def stage_tree(root):
         for ln, line in enumerate(text.splitlines(), start=1):
             for m in EXPECT_RE.finditer(line):
                 expected.add((m.group(1), rel, ln))
-    # Synthetic compilation database covering the staged TUs.
-    entries = [{
-        "directory": str(root),
-        "file": str(root / rel),
-        "command": f"c++ -std=c++20 -I{root}/src -c {root / rel}",
-    } for rel in sorted(STAGE.values()) if rel.endswith(".cpp")]
-    build = root / "build"
-    build.mkdir()
-    (build / "compile_commands.json").write_text(json.dumps(entries, indent=1),
-                                                encoding="utf-8")
     return expected
 
 

@@ -8,6 +8,10 @@
 namespace milback::ap {
 namespace {
 
+// The fine-fix configuration a link's AP would pass (its
+// config().ap.localizer).
+const LocalizerConfig kFix{};
+
 channel::BackscatterChannel cluttered_channel(std::uint64_t seed = 1) {
   Rng rng(seed);
   return channel::BackscatterChannel::make_default(
@@ -18,8 +22,8 @@ TEST(BeamScanner, SteeredSnrPeaksOnBoresight) {
   const auto chan = cluttered_channel();
   BeamScanner scanner;
   const channel::NodePose pose{3.0, 12.0, 10.0};
-  const double on = scanner.steered_snr_db(chan, pose, 12.0);
-  const double off = scanner.steered_snr_db(chan, pose, -12.0);
+  const double on = scanner.steered_snr_db(chan, kFix, pose, 12.0);
+  const double off = scanner.steered_snr_db(chan, kFix, pose, -12.0);
   EXPECT_GT(on, off + 20.0);
 }
 
@@ -28,7 +32,7 @@ TEST(BeamScanner, FindsSingleNode) {
   BeamScanner scanner;
   Rng rng(2);
   const std::vector<channel::NodePose> nodes{{2.5, 14.0, 10.0}};
-  const auto dets = scanner.scan(chan, nodes, rng);
+  const auto dets = scanner.scan(chan, kFix, nodes, rng);
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_NEAR(dets[0].steering_deg, 14.0, scanner.config().step_deg);
   ASSERT_TRUE(dets[0].fix.detected);
@@ -40,7 +44,7 @@ TEST(BeamScanner, FindsMultipleSeparatedNodes) {
   BeamScanner scanner;
   Rng rng(3);
   const std::vector<channel::NodePose> nodes{{2.0, -25.0, 10.0}, {3.0, 20.0, -12.0}};
-  const auto dets = scanner.scan(chan, nodes, rng);
+  const auto dets = scanner.scan(chan, kFix, nodes, rng);
   ASSERT_EQ(dets.size(), 2u);
   EXPECT_NEAR(dets[0].steering_deg, -25.0, 2.0 * scanner.config().step_deg);
   EXPECT_NEAR(dets[1].steering_deg, 20.0, 2.0 * scanner.config().step_deg);
@@ -50,7 +54,7 @@ TEST(BeamScanner, EmptySectorFindsNothing) {
   const auto chan = cluttered_channel();
   BeamScanner scanner;
   Rng rng(4);
-  EXPECT_TRUE(scanner.scan(chan, {}, rng).empty());
+  EXPECT_TRUE(scanner.scan(chan, kFix, {}, rng).empty());
 }
 
 TEST(BeamScanner, FarNodeBelowThresholdIgnored) {
@@ -60,7 +64,7 @@ TEST(BeamScanner, FarNodeBelowThresholdIgnored) {
   BeamScanner scanner(cfg);
   Rng rng(5);
   const std::vector<channel::NodePose> nodes{{12.0, 0.0, 10.0}};
-  EXPECT_TRUE(scanner.scan(chan, nodes, rng).empty());
+  EXPECT_TRUE(scanner.scan(chan, kFix, nodes, rng).empty());
 }
 
 TEST(BeamScanner, AdjacentHitsMergedToOneDetection) {
@@ -70,7 +74,7 @@ TEST(BeamScanner, AdjacentHitsMergedToOneDetection) {
   BeamScanner scanner;
   Rng rng(6);
   const std::vector<channel::NodePose> nodes{{1.0, 0.0, 10.0}};
-  const auto dets = scanner.scan(chan, nodes, rng);
+  const auto dets = scanner.scan(chan, kFix, nodes, rng);
   EXPECT_EQ(dets.size(), 1u);
 }
 

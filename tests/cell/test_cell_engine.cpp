@@ -135,6 +135,28 @@ TEST(CellEngine, SessionModeTracksAndDelivers) {
   EXPECT_GT(report.nodes[0].delivered_bits, 0.0);
 }
 
+TEST(CellEngine, SessionModeUsesCellRate) {
+  // Sessions borrow CellConfig::rate: with 40 Mbps out of reach, a close
+  // node (PicksFortyMbpsUpClose's 2 m pose) tracks at 10 Mbps instead.
+  CellConfig cfg;
+  cfg.run_sessions = true;
+  cfg.service_period_s = 0.01;
+  cfg.rate.snr_for_40mbps_db = 1e3;
+  auto engine = make_engine(cfg);
+  const auto node = engine.add_node(
+      "a", {.pose = {2.0, 0.0, 15.0}, .arrival_rate_bps = 100e3});
+  std::size_t tracking_rounds = 0;
+  engine.begin(0.2, 29);
+  for (std::size_t k = 0; engine.pending_events() > 0; ++k) {
+    engine.advance_to((double(k) + 0.5) * cfg.service_period_s);
+    const auto& step = engine.node_session(node).last_step();
+    EXPECT_NE(step.uplink_rate_bps, 40e6) << "sweep " << k;
+    if (step.state == core::SessionState::kTracking) ++tracking_rounds;
+  }
+  (void)engine.finish();
+  EXPECT_GT(tracking_rounds, 5u);
+}
+
 TEST(CellEngine, NodeSessionRequiresSessionMode) {
   auto probe = make_engine();
   probe.add_node("a", spec(2.0, 0.0));

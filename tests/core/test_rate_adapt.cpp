@@ -48,23 +48,30 @@ TEST(RateAdapt, AdaptRateNeverGivesUp) {
   EXPECT_DOUBLE_EQ(service_rate_bps(cfg, cfg.snr_for_10mbps_db - 5.0), 0.0);
 }
 
+// A config that embeds its own rate policy / its own link configuration.
+template <typename C>
+concept CarriesRate = requires(const C& c) { c.rate; };
+template <typename C>
+concept CarriesLink = requires(const C& c) { c.link; };
+
 TEST(RateAdapt, SingleSourceOfTruthAcrossLayers) {
   // Regression for the threshold drift this config fixed: SessionConfig used
-  // to carry 12 dB for 10 Mbps while the MAC carried 10 dB. Every layer now
-  // embeds RateAdaptConfig, so the defaults must be byte-for-byte the same
-  // object everywhere.
+  // to carry 12 dB for 10 Mbps while the MAC carried 10 dB. The cell now
+  // holds the only copy: its budget probe reads CellConfig::rate and every
+  // session's step() borrows it, so the session config has no copy (nor a
+  // link config of its own) to drift.
+  static_assert(CarriesRate<cell::CellConfig>);
+  static_assert(!CarriesRate<SessionConfig>);
+  static_assert(!CarriesLink<SessionConfig>);
   const RateAdaptConfig truth;
   EXPECT_DOUBLE_EQ(truth.snr_for_10mbps_db, 10.0);
   EXPECT_DOUBLE_EQ(truth.snr_for_40mbps_db, 16.0);
   EXPECT_DOUBLE_EQ(truth.fec_margin_db, 3.0);
 
-  const SessionConfig session;
   const cell::CellConfig engine;
-  for (const auto& layer : {session.rate, engine.rate}) {
-    EXPECT_DOUBLE_EQ(layer.snr_for_10mbps_db, truth.snr_for_10mbps_db);
-    EXPECT_DOUBLE_EQ(layer.snr_for_40mbps_db, truth.snr_for_40mbps_db);
-    EXPECT_DOUBLE_EQ(layer.fec_margin_db, truth.fec_margin_db);
-  }
+  EXPECT_DOUBLE_EQ(engine.rate.snr_for_10mbps_db, truth.snr_for_10mbps_db);
+  EXPECT_DOUBLE_EQ(engine.rate.snr_for_40mbps_db, truth.snr_for_40mbps_db);
+  EXPECT_DOUBLE_EQ(engine.rate.fec_margin_db, truth.fec_margin_db);
 }
 
 TEST(RateAdapt, RecalibrationPropagatesThroughMac) {

@@ -6,11 +6,23 @@
 namespace milback::core {
 namespace {
 
-AdaptiveSession make_session(std::uint64_t env_seed = 1) {
+// One node's session over a link of its own (in a cell, the session
+// borrows the cell's link and rate policy the same way).
+struct Rig {
+  MilBackLink link;
+  RateAdaptConfig rate{};
+  AdaptiveSession session{};
+
+  SessionStep step(const channel::NodePose& pose, Rng& rng) {
+    return session.step(link, rate, pose, rng);
+  }
+  SessionState state() const { return session.state(); }
+};
+
+Rig make_session(std::uint64_t env_seed = 1) {
   Rng rng(env_seed);
-  return AdaptiveSession(channel::BackscatterChannel::make_default(
-                             channel::Environment::indoor_office(rng)),
-                         SessionConfig{});
+  return Rig{MilBackLink(channel::BackscatterChannel::make_default(
+      channel::Environment::indoor_office(rng)))};
 }
 
 TEST(Session, StartsAcquiring) {
@@ -85,7 +97,7 @@ TEST(Session, LosesAndReacquiresThroughBlockage) {
   ASSERT_EQ(s.state(), SessionState::kTracking);
 
   // Inject 30 dB of body blockage: localization (60 dB round trip) dies.
-  s.link().channel().config().blockage_loss_db = 30.0;
+  s.link.channel().config().blockage_loss_db = 30.0;
   SessionState st = s.state();
   for (int i = 0; i < 10 && st == SessionState::kTracking; ++i) {
     st = s.step(pose, rng).state;
@@ -93,7 +105,7 @@ TEST(Session, LosesAndReacquiresThroughBlockage) {
   EXPECT_NE(st, SessionState::kTracking);
 
   // Blockage clears: the session must re-acquire.
-  s.link().channel().config().blockage_loss_db = 0.0;
+  s.link.channel().config().blockage_loss_db = 0.0;
   SessionStep step;
   for (int i = 0; i < 3; ++i) {
     step = s.step(pose, rng);

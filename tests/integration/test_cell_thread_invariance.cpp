@@ -119,12 +119,15 @@ TEST(CellThreadInvariance, FiftyNodeChurnScenarioIsBitIdentical) {
 
 TEST(CellThreadInvariance, SessionModeCellIsBitIdentical) {
   // Session mode runs a full AdaptiveSession per node inside the fan-out —
-  // the heaviest shared-state surface (each trial mutates its own session).
+  // the heaviest shared-state surface: each trial mutates its own session
+  // while every session reads the cell's one link (walls included) through
+  // a const reference. Odd worker counts split the four nodes unevenly.
   CellConfig cfg;
   cfg.run_sessions = true;
   cfg.service_period_s = 0.02;
   const auto build = [&]() {
     auto engine = make_engine(cfg);
+    engine.set_multipath(channel::MultipathConfig::office_walls(21, 5));
     engine.add_node("a", {.pose = {2.0, -30.0, 10.0}, .arrival_rate_bps = 80e3});
     engine.add_node("b", {.pose = {2.5, -5.0, -8.0}, .arrival_rate_bps = 80e3});
     engine.add_node("c", {.pose = {3.0, 10.0, 12.0}, .arrival_rate_bps = 80e3});
@@ -134,19 +137,17 @@ TEST(CellThreadInvariance, SessionModeCellIsBitIdentical) {
     engine.schedule_blockage(0.12, 0.16, 12.0);
     return engine;
   };
-  CellReport serial, parallel;
-  {
-    ScopedThreads guard("1");
+  const auto run_with = [&](const char* threads) {
+    ScopedThreads guard(threads);
     auto engine = build();
-    serial = engine.run(0.2, 77);
-  }
-  {
-    ScopedThreads guard("4");
-    auto engine = build();
-    parallel = engine.run(0.2, 77);
-  }
+    return engine.run(0.2, 77);
+  };
+  const CellReport serial = run_with("1");
   EXPECT_GT(serial.service_rounds, 5u);
-  expect_reports_identical(serial, parallel);
+  for (const char* threads : {"2", "3", "7"}) {
+    SCOPED_TRACE(threads);
+    expect_reports_identical(serial, run_with(threads));
+  }
 }
 
 }  // namespace
